@@ -69,10 +69,11 @@ int main(int argc, char** argv) {
   // here we demonstrate the interface contract itself on a vault harness.
   sim::Simulator sim;
   hmc::VaultConfig vcfg;
+  StatRegistry stats;
   u64 responses = 0;
   hmc::VaultController vault(
       sim, 0, vcfg, std::make_unique<EagerCopyScheme>(vcfg.banks), nullptr,
-      nullptr, [&](const hmc::MemRequest&, Tick) { ++responses; });
+      stats, [&](const hmc::MemRequest&, Tick) { ++responses; });
 
   // Drive the vault with a synthetic stream: 8 sequential lines per row.
   u64 id = 1;

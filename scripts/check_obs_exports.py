@@ -3,12 +3,18 @@
 
 Usage:
   scripts/check_obs_exports.py STATS_JSON TRACE_JSON
+  scripts/check_obs_exports.py --sim SIM_STATS_JSON
 
 Validates that a bench's --stats-json document is well-formed and complete
 (config, table, per-run results with the latency breakdown, no wall-clock
-fields) and that its --trace-out document is a loadable Chrome trace with
-spans from every instrumented component. Exits non-zero with a message on
-the first violation.
+fields, p50 <= p95 <= p99 in every stage) and that its --trace-out document
+is a loadable Chrome trace with spans from every instrumented component.
+
+With --sim, validates a camps_sim --stats-json document instead: every
+registry histogram must report min <= p50 <= p95 <= p99 <= max, and every
+latency stage (plus the fault recovery stage, when present) must be ordered
+and lie within its registry histogram's [min, max]. Exits non-zero with a
+message on the first violation.
 """
 import json
 import sys
@@ -28,11 +34,33 @@ LATENCY_STAGES = {
     "host_queue", "link_down", "link_up", "vault_queue", "bank_service",
     "buffer_hit", "total_read",
 }
+PERCENTILES = ("p50", "p95", "p99")
 
 
 def fail(msg):
     print(f"check_obs_exports: FAIL: {msg}", file=sys.stderr)
     sys.exit(1)
+
+
+def check_ordered(where, stats, lo=None, hi=None):
+    """Fails unless lo <= p50 <= p95 <= p99 <= hi (bounds optional)."""
+    chain = [stats[p] for p in PERCENTILES]
+    if lo is not None:
+        chain.insert(0, lo)
+    if hi is not None:
+        chain.append(hi)
+    if any(a > b for a, b in zip(chain, chain[1:])):
+        shown = {k: stats[k] for k in PERCENTILES}
+        fail(f"{where}: percentiles {shown} not ordered within "
+             f"[{lo}, {hi}]")
+
+
+def check_stages(where, results):
+    for name, stage in results["latency"].items():
+        check_ordered(f"{where} latency.{name}", stage)
+    recovery = results.get("faults", {}).get("recovery")
+    if recovery is not None:
+        check_ordered(f"{where} faults.recovery", recovery)
 
 
 def check_stats(path):
@@ -56,6 +84,7 @@ def check_stats(path):
                  f"{sorted(latency)} != {sorted(LATENCY_STAGES)}")
         if latency["total_read"]["count"] == 0:
             fail(f"{path}: run {run.get('name')} measured no reads")
+        check_stages(f"{path}: run {run.get('name')}", results)
     if "wall_seconds" in json.dumps(doc):
         fail(f"{path}: wall-clock leaked into a deterministic export")
     print(f"check_obs_exports: {path} OK ({len(doc['runs'])} runs)")
@@ -76,7 +105,34 @@ def check_trace(path):
           f"({len(events)} events, {len(stages)} stages)")
 
 
+def check_sim(path):
+    with open(path) as f:
+        doc = json.load(f)
+    histograms = doc["registry"]["histograms"]
+    sampled = {k: h for k, h in histograms.items() if h["count"] > 0}
+    if not sampled:
+        fail(f"{path}: no registry histogram has samples")
+    for name, h in sampled.items():
+        check_ordered(f"{path}: histogram {name}", h, h["min"], h["max"])
+    results = doc["results"]
+    check_stages(path, results)
+    stages = {f"latency.{s}_cycles": results["latency"][s]
+              for s in LATENCY_STAGES}
+    if "faults" in results:
+        stages["fault.recovery_cycles"] = results["faults"]["recovery"]
+    for name, stage in stages.items():
+        h = histograms.get(name)
+        if h is None:
+            fail(f"{path}: stage {name} has no registry histogram")
+        if h["count"] > 0:
+            check_ordered(f"{path}: stage {name}", stage, h["min"], h["max"])
+    print(f"check_obs_exports: {path} OK ({len(sampled)} histograms)")
+
+
 def main():
+    if len(sys.argv) == 3 and sys.argv[1] == "--sim":
+        check_sim(sys.argv[2])
+        return 0
     if len(sys.argv) != 3:
         print(__doc__)
         return 2

@@ -1,41 +1,28 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <functional>
 #include <sstream>
 #include <string>
 
-#include "common/assert.hpp"
 #include "common/json.hpp"
 
 namespace camps {
-
-Histogram::Histogram(u64 bucket_width, u32 num_buckets)
-    : bucket_width_(bucket_width),
-      shift_((bucket_width & (bucket_width - 1)) == 0
-                 ? std::countr_zero(bucket_width)
-                 : -1),
-      buckets_(num_buckets + 1, 0) {
-  CAMPS_ASSERT(bucket_width > 0);
-  CAMPS_ASSERT(num_buckets > 0);
-}
 
 double Histogram::percentile(double p) const {
   if (count_ == 0) return 0.0;
   p = std::clamp(p, 0.0, 100.0);
   const u64 target = static_cast<u64>(p / 100.0 * static_cast<double>(count_ - 1));
   u64 seen = 0;
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    seen += buckets_[i];
-    if (seen > target) {
-      // Midpoint of the bucket; overflow bucket reports its lower edge.
-      const double lo = static_cast<double>(i) * static_cast<double>(bucket_width_);
-      if (i == buckets_.size() - 1) return lo;
-      return lo + static_cast<double>(bucket_width_) / 2.0;
-    }
-  }
-  return static_cast<double>(max_);
+  size_t i = 0;
+  while ((seen += buckets_[i]) <= target) ++i;
+  // Invert index_of: the first 2 * kSubBuckets buckets are exact; octave
+  // `shift` holds kSubBuckets buckets of width 2^shift.
+  const size_t shift = std::max<size_t>(i >> kSubBits, 1) - 1;
+  const u64 lo = (i - (shift << kSubBits)) << shift;
+  const double mid = static_cast<double>(lo) +
+                     static_cast<double>((u64{1} << shift) - 1) / 2.0;
+  return std::clamp(mid, static_cast<double>(min_), static_cast<double>(max_));
 }
 
 void Histogram::reset() {
@@ -44,18 +31,15 @@ void Histogram::reset() {
 }
 
 void Histogram::merge_from(const Histogram& other) {
-  CAMPS_ASSERT_MSG(bucket_width_ == other.bucket_width_ &&
-                       buckets_.size() == other.buckets_.size(),
-                   "histogram merge requires identical geometry");
   if (other.count_ == 0) return;
-  for (size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
+  if (other.buckets_.size() > buckets_.size()) {
+    buckets_.resize(other.buckets_.size(), 0);
   }
+  for (size_t i = 0; i < other.buckets_.size(); ++i) {
+    buckets_[i] += other.buckets_[i];
+  }
+  min_ = count_ == 0 ? other.min_ : std::min(min_, other.min_);
+  max_ = count_ == 0 ? other.max_ : std::max(max_, other.max_);
   count_ += other.count_;
   sum_ += other.sum_;
 }
@@ -64,13 +48,8 @@ Counter& StatRegistry::counter(const std::string& name) {
   return counters_[name];
 }
 
-Histogram& StatRegistry::histogram(const std::string& name, u64 bucket_width,
-                                   u32 num_buckets) {
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(name, Histogram(bucket_width, num_buckets)).first;
-  }
-  return it->second;
+Histogram& StatRegistry::histogram(const std::string& name) {
+  return histograms_[name];
 }
 
 void StatRegistry::add_formula(const std::string& name,
@@ -146,11 +125,6 @@ std::string StatRegistry::dump_json(int indent) const {
     w.field("p50", h.percentile(50));
     w.field("p95", h.percentile(95));
     w.field("p99", h.percentile(99));
-    w.field("bucket_width", h.bucket_width());
-    w.key("buckets");
-    w.begin_array();
-    for (u64 b : h.buckets()) w.value(b);
-    w.end_array();
     w.end_object();
   }
   w.end_object();
@@ -172,14 +146,7 @@ void StatRegistry::merge_from(const StatRegistry& other) {
     counters_[name].merge_from(c);
   }
   for (const auto& [name, h] : other.histograms_) {
-    auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-      it = histograms_
-               .emplace(name, Histogram(h.bucket_width(),
-                                        static_cast<u32>(h.buckets().size() - 1)))
-               .first;
-    }
-    it->second.merge_from(h);
+    histograms_[name].merge_from(h);
   }
 }
 

@@ -1,11 +1,14 @@
 // Lightweight statistics framework.
 //
 // Every simulator component registers named counters and histograms with a
-// StatRegistry. The registry renders a stable, alphabetically sorted dump
-// and supports derived "formula" stats evaluated at dump time (e.g. IPC,
-// prefetch accuracy) so the raw counters stay cheap on the hot path.
+// StatRegistry and keeps only references to them: the registry holds the
+// one copy of each metric. The registry renders a stable, alphabetically
+// sorted dump and supports derived "formula" stats evaluated at dump time
+// (e.g. IPC, prefetch accuracy) so the raw counters stay cheap on the hot
+// path.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -30,19 +33,24 @@ class Counter {
   u64 value_ = 0;
 };
 
-/// Fixed-bucket histogram over [0, bucket_width * num_buckets); values past
-/// the last bucket land in an overflow bucket. Tracks sum/min/max exactly.
+/// Log-linear histogram in the style of HdrHistogram: values below
+/// 2 * kSubBuckets are recorded exactly, and above that each power of two
+/// [2^e, 2^(e+1)) splits into kSubBuckets equal linear buckets. Every
+/// histogram shares this one layout, so any two merge; there is no overflow
+/// bucket, and storage grows only up to the largest sample seen. Tracks
+/// count/sum/min/max exactly.
 class Histogram {
  public:
-  Histogram() : Histogram(16, 64) {}
-  Histogram(u64 bucket_width, u32 num_buckets);
+  static constexpr int kSubBits = 5;
+  static constexpr u64 kSubBuckets = u64{1} << kSubBits;
+  /// Bound on |percentile - true sample at that rank| / true sample.
+  static constexpr double kMaxRelativeError = 1.0 / (2 * kSubBuckets);
 
-  /// Hot path: a handful of adds plus a shift (power-of-two widths) or one
-  /// integer division. Components sample per memory access, so keep widths
-  /// powers of two where the cost matters.
+  /// Hot path: a bit-width, a shift and a few adds (the storage grows on
+  /// the rare sample that sets a new magnitude).
   void sample(u64 value) {
-    u64 idx = shift_ >= 0 ? value >> shift_ : value / bucket_width_;
-    if (idx >= buckets_.size() - 1) idx = buckets_.size() - 1;  // overflow
+    const size_t idx = index_of(value);
+    if (idx >= buckets_.size()) buckets_.resize(idx + 1, 0);
     ++buckets_[idx];
     ++count_;
     sum_ += value;
@@ -56,24 +64,28 @@ class Histogram {
 
   u64 count() const { return count_; }
   u64 sum() const { return sum_; }
-  u64 min() const { return count_ ? min_ : 0; }
+  u64 min() const { return min_; }
   u64 max() const { return max_; }
   double mean() const { return count_ ? static_cast<double>(sum_) / static_cast<double>(count_) : 0.0; }
-  /// Linear-interpolated percentile in [0,100]; exact at bucket granularity.
+  /// Sample at rank floor(p/100 * (count-1)), p clamped to [0,100]: exact
+  /// below 2 * kSubBuckets, else its bucket's midpoint (within
+  /// kMaxRelativeError); always clamped to [min, max].
   double percentile(double p) const;
-  const std::vector<u64>& buckets() const { return buckets_; }
-  u64 bucket_width() const { return bucket_width_; }
   void reset();
 
-  /// Adds `other`'s samples to this histogram. Requires identical geometry
-  /// (bucket width and count) — merging across differently shaped
-  /// histograms would silently misbucket.
+  /// Adds `other`'s samples: the result equals sampling both inputs.
   void merge_from(const Histogram& other);
 
  private:
-  u64 bucket_width_;
-  int shift_;  // log2(bucket_width_) when a power of two, else -1
-  std::vector<u64> buckets_;  // last element is the overflow bucket
+  /// Bucket of `value`: the top kSubBits+1 significant bits, offset by the
+  /// octave. Values below 2 * kSubBuckets map to themselves.
+  static size_t index_of(u64 value) {
+    const int excess = static_cast<int>(std::bit_width(value)) - kSubBits - 1;
+    const int shift = excess > 0 ? excess : 0;
+    return (static_cast<size_t>(shift) << kSubBits) + (value >> shift);
+  }
+
+  std::vector<u64> buckets_;  ///< Sized to index_of(max) + 1.
   u64 count_ = 0;
   u64 sum_ = 0;
   u64 min_ = 0;
@@ -85,8 +97,7 @@ class Histogram {
 class StatRegistry {
  public:
   Counter& counter(const std::string& name);
-  Histogram& histogram(const std::string& name, u64 bucket_width = 16,
-                       u32 num_buckets = 64);
+  Histogram& histogram(const std::string& name);
 
   /// Derived value computed at dump time from other stats.
   void add_formula(const std::string& name, std::function<double()> fn);
@@ -97,6 +108,10 @@ class StatRegistry {
 
   /// Registered histogram by exact name, or nullptr. Never creates.
   const Histogram* find_histogram(const std::string& name) const;
+  /// Every registered histogram, sorted by name.
+  const std::map<std::string, Histogram>& histograms() const {
+    return histograms_;
+  }
 
   /// Sum of all counters whose name matches `prefix*suffix` with a single
   /// '*' wildcard in `pattern` (or exact match when no '*'). Used to
@@ -107,7 +122,7 @@ class StatRegistry {
   std::string dump() const;
 
   /// Machine-readable registry dump: {"counters": {...}, "histograms":
-  /// {name: {count,sum,min,max,mean,p50,p95,p99,bucket_width,buckets}},
+  /// {name: {count,sum,min,max,mean,p50,p95,p99}},
   /// "formulas": {...}}. Names sort alphabetically and doubles render
   /// shortest-round-trip, so the output is byte-stable across runs and
   /// --jobs settings (see common/json.hpp).
@@ -116,9 +131,9 @@ class StatRegistry {
   void reset();
 
   /// Folds every counter and histogram of `other` into this registry,
-  /// creating entries that don't exist yet. Counters add; histograms
-  /// require matching geometry. Formulas are NOT merged: they capture
-  /// references into their own registry, so each System re-registers them.
+  /// creating entries that don't exist yet. Counters and histograms add.
+  /// Formulas are NOT merged: they capture references into their own
+  /// registry, so each System re-registers them.
   /// This is what makes per-worker registries safe to aggregate after a
   /// parallel sweep without double-counting — each worker owns a private
   /// registry and the merge happens exactly once, under the caller's lock.

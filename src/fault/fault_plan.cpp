@@ -1,7 +1,6 @@
 #include "fault/fault_plan.hpp"
 
 #include "common/assert.hpp"
-#include "sim/clock.hpp"
 
 namespace camps::fault {
 namespace {
@@ -21,8 +20,19 @@ double to_unit(u64 h) {
 
 }  // namespace
 
-FaultPlan::FaultPlan(const FaultConfig& config, StatRegistry* stats)
-    : cfg_(config) {
+FaultPlan::FaultPlan(const FaultConfig& config, StatRegistry& stats)
+    : cfg_(config),
+      c_crc_errors_(stats.counter("fault.crc_errors")),
+      c_replays_(stats.counter("fault.replays")),
+      c_link_drops_(stats.counter("fault.link_drops")),
+      c_xbar_drops_(stats.counter("fault.xbar_drops")),
+      c_vault_stalls_(stats.counter("fault.vault_stalls")),
+      c_host_retries_(stats.counter("fault.host_retries")),
+      c_host_poisoned_(stats.counter("fault.host_poisoned")),
+      c_late_responses_(stats.counter("fault.late_responses")),
+      c_degrade_flushes_(stats.counter("fault.degrade_flushes")),
+      c_token_stall_ticks_(stats.counter("fault.token_stall_ticks")),
+      h_recovery_(stats.histogram("fault.recovery_cycles")) {
   CAMPS_ASSERT_MSG(cfg_.link_crc_rate >= 0.0 && cfg_.link_crc_rate <= 1.0,
                    "link_crc_rate outside [0,1]");
   CAMPS_ASSERT_MSG(cfg_.link_drop_rate >= 0.0 && cfg_.link_drop_rate <= 1.0,
@@ -32,20 +42,6 @@ FaultPlan::FaultPlan(const FaultConfig& config, StatRegistry* stats)
   CAMPS_ASSERT_MSG(
       cfg_.vault_stall_rate >= 0.0 && cfg_.vault_stall_rate <= 1.0,
       "vault_stall_rate outside [0,1]");
-  if (stats != nullptr) {
-    c_crc_errors_ = &stats->counter("fault.crc_errors");
-    c_replays_ = &stats->counter("fault.replays");
-    c_link_drops_ = &stats->counter("fault.link_drops");
-    c_xbar_drops_ = &stats->counter("fault.xbar_drops");
-    c_vault_stalls_ = &stats->counter("fault.vault_stalls");
-    c_host_retries_ = &stats->counter("fault.host_retries");
-    c_host_poisoned_ = &stats->counter("fault.host_poisoned");
-    c_late_responses_ = &stats->counter("fault.late_responses");
-    c_degrade_flushes_ = &stats->counter("fault.degrade_flushes");
-    c_token_stall_ticks_ = &stats->counter("fault.token_stall_ticks");
-    h_recovery_ = &stats->histogram("fault.recovery_cycles",
-                                    /*bucket_width=*/64, /*num_buckets=*/128);
-  }
 }
 
 double FaultPlan::rate_for(Site site) const {
@@ -83,32 +79,6 @@ bool FaultPlan::roll(Site site, u32 unit) {
 u64 FaultPlan::next_sequence(Site site, u32 unit) const {
   const auto it = sequences_.find({static_cast<u8>(site), unit});
   return it == sequences_.end() ? 0 : it->second;
-}
-
-void FaultPlan::count_replay(Tick recovery_ticks) {
-  inc(c_replays_);
-  if (h_recovery_ != nullptr) {
-    h_recovery_->sample(recovery_ticks / sim::kCpuTicksPerCycle);
-  }
-}
-
-void FaultPlan::count_host_poison(Tick recovery_ticks) {
-  inc(c_host_poisoned_);
-  if (h_recovery_ != nullptr) {
-    h_recovery_->sample(recovery_ticks / sim::kCpuTicksPerCycle);
-  }
-}
-
-void FaultPlan::count_host_recovery(Tick recovery_ticks) {
-  if (h_recovery_ != nullptr) {
-    h_recovery_->sample(recovery_ticks / sim::kCpuTicksPerCycle);
-  }
-}
-
-u64 FaultPlan::injected() const {
-  auto val = [](const Counter* c) { return c == nullptr ? 0 : c->value(); };
-  return val(c_crc_errors_) + val(c_link_drops_) + val(c_xbar_drops_) +
-         val(c_vault_stalls_);
 }
 
 }  // namespace camps::fault

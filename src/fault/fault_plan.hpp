@@ -17,12 +17,13 @@
 
 #include "common/stats.hpp"
 #include "fault/fault_config.hpp"
+#include "sim/clock.hpp"
 
 namespace camps::fault {
 
 class FaultPlan final {
  public:
-  explicit FaultPlan(const FaultConfig& config, StatRegistry* stats);
+  FaultPlan(const FaultConfig& config, StatRegistry& stats);
 
   const FaultConfig& config() const { return cfg_; }
 
@@ -35,47 +36,58 @@ class FaultPlan final {
   /// targeted faults against this).
   u64 next_sequence(Site site, u32 unit) const;
 
-  // --- recovery bookkeeping (counters may be null-registry no-ops) ------
-  void count_crc_error() { inc(c_crc_errors_); }
-  void count_replay(Tick recovery_ticks);
-  void count_link_drop() { inc(c_link_drops_); }
-  void count_xbar_drop() { inc(c_xbar_drops_); }
-  void count_vault_stall() { inc(c_vault_stalls_); }
-  void count_host_retry() { inc(c_host_retries_); }
-  void count_host_poison(Tick recovery_ticks);
-  /// A retried request's response finally arrived.
-  void count_host_recovery(Tick recovery_ticks);
-  void count_late_response() { inc(c_late_responses_); }
-  void count_degrade_flush() { inc(c_degrade_flushes_); }
-  void count_token_stall_ticks(Tick ticks) {
-    if (c_token_stall_ticks_ != nullptr) c_token_stall_ticks_->inc(ticks);
+  // --- recovery bookkeeping ---------------------------------------------
+  void count_crc_error() { c_crc_errors_.inc(); }
+  void count_replay(Tick recovery_ticks) {
+    c_replays_.inc();
+    record_recovery(recovery_ticks);
   }
+  void count_link_drop() { c_link_drops_.inc(); }
+  void count_xbar_drop() { c_xbar_drops_.inc(); }
+  void count_vault_stall() { c_vault_stalls_.inc(); }
+  void count_host_retry() { c_host_retries_.inc(); }
+  void count_host_poison(Tick recovery_ticks) {
+    c_host_poisoned_.inc();
+    record_recovery(recovery_ticks);
+  }
+  /// A retried request's response finally arrived.
+  void count_host_recovery(Tick recovery_ticks) {
+    record_recovery(recovery_ticks);
+  }
+  void count_late_response() { c_late_responses_.inc(); }
+  void count_degrade_flush() { c_degrade_flushes_.inc(); }
+  void count_token_stall_ticks(Tick ticks) { c_token_stall_ticks_.inc(ticks); }
 
+  u64 host_retries() const { return c_host_retries_.value(); }
+  u64 host_poisoned() const { return c_host_poisoned_.value(); }
   /// Faults injected so far, summed over every mechanism.
-  u64 injected() const;
+  u64 injected() const {
+    return c_crc_errors_.value() + c_link_drops_.value() +
+           c_xbar_drops_.value() + c_vault_stalls_.value();
+  }
 
  private:
-  static void inc(Counter* c) {
-    if (c != nullptr) c->inc();
-  }
   double rate_for(Site site) const;
+  void record_recovery(Tick ticks) {
+    h_recovery_.sample(ticks / sim::kCpuTicksPerCycle);
+  }
 
   FaultConfig cfg_;
   /// Per-(site, unit) packet sequence counters. Ordered map: iterated only
   /// for audits, and the key space is tiny (sites x links/vaults).
   std::map<std::pair<u8, u32>, u64> sequences_;
 
-  Counter* c_crc_errors_ = nullptr;
-  Counter* c_replays_ = nullptr;
-  Counter* c_link_drops_ = nullptr;
-  Counter* c_xbar_drops_ = nullptr;
-  Counter* c_vault_stalls_ = nullptr;
-  Counter* c_host_retries_ = nullptr;
-  Counter* c_host_poisoned_ = nullptr;
-  Counter* c_late_responses_ = nullptr;
-  Counter* c_degrade_flushes_ = nullptr;
-  Counter* c_token_stall_ticks_ = nullptr;
-  Histogram* h_recovery_ = nullptr;  ///< Recovery latency, CPU cycles.
+  Counter& c_crc_errors_;
+  Counter& c_replays_;
+  Counter& c_link_drops_;
+  Counter& c_xbar_drops_;
+  Counter& c_vault_stalls_;
+  Counter& c_host_retries_;
+  Counter& c_host_poisoned_;
+  Counter& c_late_responses_;
+  Counter& c_degrade_flushes_;
+  Counter& c_token_stall_ticks_;
+  Histogram& h_recovery_;  ///< Recovery latency, CPU cycles.
 };
 
 }  // namespace camps::fault

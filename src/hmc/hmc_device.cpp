@@ -10,7 +10,7 @@ using energy::EnergyEvent;
 
 HmcDevice::HmcDevice(sim::Simulator& sim, const HmcConfig& config,
                      prefetch::SchemeKind scheme,
-                     const prefetch::SchemeParams& params, StatRegistry* stats,
+                     const prefetch::SchemeParams& params, StatRegistry& stats,
                      DeliverFn deliver, obs::TraceRecorder* trace)
     : sim_(sim),
       cfg_(config),
@@ -19,7 +19,10 @@ HmcDevice::HmcDevice(sim::Simulator& sim, const HmcConfig& config,
       down_xbar_(config.geometry.vaults, config.crossbar),
       up_xbar_(config.num_links, config.crossbar),
       deliver_(std::move(deliver)),
-      trace_(trace) {
+      trace_(trace),
+      h_lat_host_queue_(stats.histogram("latency.host_queue_cycles")),
+      h_lat_link_down_(stats.histogram("latency.link_down_cycles")),
+      h_lat_link_up_(stats.histogram("latency.link_up_cycles")) {
   CAMPS_ASSERT(cfg_.num_links > 0);
   if (cfg_.fault.enabled()) {
     fault_plan_ = std::make_unique<fault::FaultPlan>(cfg_.fault, stats);
@@ -49,17 +52,6 @@ HmcDevice::HmcDevice(sim::Simulator& sim, const HmcConfig& config,
     down_xbar_.attach_faults(fault_plan_.get(), 0);
     up_xbar_.attach_faults(fault_plan_.get(), cfg_.geometry.vaults);
   }
-  if (stats != nullptr) {
-    h_lat_host_queue_ = &stats->histogram("latency.host_queue_cycles",
-                                          /*bucket_width=*/8,
-                                          /*num_buckets=*/64);
-    h_lat_link_down_ = &stats->histogram("latency.link_down_cycles",
-                                         /*bucket_width=*/4,
-                                         /*num_buckets=*/64);
-    h_lat_link_up_ = &stats->histogram("latency.link_up_cycles",
-                                       /*bucket_width=*/4,
-                                       /*num_buckets=*/64);
-  }
   // Keep each vault's prefetch table geometry in sync with the banks.
   prefetch::SchemeParams per_vault = params;
   per_vault.camps.banks = cfg_.vault.banks;
@@ -86,13 +78,9 @@ void HmcDevice::submit(const MemRequest& request, Tick now) {
   const auto xfer =
       links_[link_idx]->downstream().submit_ex(now, flits, request.id);
   if (xfer.dropped) return;  // lost on the link; host timeout recovers
-  if (h_lat_host_queue_ != nullptr) {
-    h_lat_host_queue_->sample((xfer.start - now) / sim::kCpuTicksPerCycle);
-  }
-  if (h_lat_link_down_ != nullptr) {
-    h_lat_link_down_->sample((xfer.deliver - xfer.start) /
-                             sim::kCpuTicksPerCycle);
-  }
+  h_lat_host_queue_.sample((xfer.start - now) / sim::kCpuTicksPerCycle);
+  h_lat_link_down_.sample((xfer.deliver - xfer.start) /
+                          sim::kCpuTicksPerCycle);
   if (trace_ != nullptr && xfer.start > now) {
     trace_->record(obs::Stage::kHostQueue, link_idx, request.id, now,
                    xfer.start);
@@ -127,10 +115,7 @@ void HmcDevice::on_vault_response(const MemRequest& request, VaultId vault,
       links_[link_idx]->upstream().submit_ex(routed.deliver, flits,
                                              request.id);
   if (xfer.dropped) return;  // response lost; host timeout recovers
-  if (h_lat_link_up_ != nullptr) {
-    h_lat_link_up_->sample((xfer.deliver - xfer.start) /
-                           sim::kCpuTicksPerCycle);
-  }
+  h_lat_link_up_.sample((xfer.deliver - xfer.start) / sim::kCpuTicksPerCycle);
   const Tick at_host = xfer.deliver;
   sim_.schedule_at(at_host, [this, request] { deliver_(request); });
 }
@@ -147,6 +132,9 @@ void HmcDevice::note_vault_fault(VaultId vault) {
 
 void HmcDevice::reset_stats() {
   for (auto& v : vaults_) v->reset_stats();
+  h_lat_host_queue_.reset();
+  h_lat_link_down_.reset();
+  h_lat_link_up_.reset();
   for (auto& link : links_) {
     link->downstream().reset_stats();
     link->upstream().reset_stats();
@@ -181,62 +169,39 @@ bool HmcDevice::idle() const {
   return true;
 }
 
-u64 HmcDevice::total_row_hits() const {
-  u64 n = 0;
-  for (const auto& v : vaults_) n += v->row_hits();
-  return n;
-}
-
-u64 HmcDevice::total_row_empties() const {
-  u64 n = 0;
-  for (const auto& v : vaults_) n += v->row_empties();
-  return n;
-}
-
-u64 HmcDevice::total_row_conflicts() const {
-  u64 n = 0;
-  for (const auto& v : vaults_) n += v->row_conflicts();
-  return n;
-}
-
-u64 HmcDevice::total_prefetches() const {
-  u64 n = 0;
-  for (const auto& v : vaults_) n += v->prefetches_issued();
-  return n;
-}
-
-u64 HmcDevice::total_buffer_hits() const {
-  u64 n = 0;
-  for (const auto& v : vaults_) n += v->buffer().hits();
-  return n;
-}
-
-u64 HmcDevice::total_buffer_misses() const {
-  u64 n = 0;
-  for (const auto& v : vaults_) n += v->buffer().misses();
-  return n;
-}
-
-double HmcDevice::prefetch_accuracy() const {
-  // Weighted mean of per-vault row accuracies, weighted by rows prefetched.
-  double useful = 0.0, total = 0.0;
+DeviceTotals HmcDevice::totals() const {
+  DeviceTotals t;
+  // Accuracy is the mean of per-vault row accuracies, weighted by rows
+  // prefetched.
+  double useful = 0.0, rows = 0.0;
   for (const auto& v : vaults_) {
+    t.row_hits += v->row_hits();
+    t.row_empties += v->row_empties();
+    t.row_conflicts += v->row_conflicts();
+    t.prefetches += v->prefetches_issued();
     const auto& buf = v->buffer();
-    const double rows =
-        static_cast<double>(buf.inserts());
-    useful += buf.row_accuracy() * rows;
-    total += rows;
+    t.buffer_hits += buf.hits();
+    t.buffer_misses += buf.misses();
+    const double inserted = static_cast<double>(buf.inserts());
+    useful += buf.row_accuracy() * inserted;
+    rows += inserted;
   }
-  return total == 0.0 ? 0.0 : useful / total;
+  t.prefetch_accuracy = rows == 0.0 ? 0.0 : useful / rows;
+  return t;
 }
 
-double HmcDevice::row_conflict_rate() const {
-  const u64 conflicts = total_row_conflicts();
-  const u64 accesses =
-      total_row_hits() + total_row_empties() + conflicts;
-  return accesses == 0
-             ? 0.0
-             : static_cast<double>(conflicts) / static_cast<double>(accesses);
+double DeviceTotals::row_conflict_rate() const {
+  const u64 accesses = row_hits + row_empties + row_conflicts;
+  return accesses == 0 ? 0.0
+                       : static_cast<double>(row_conflicts) /
+                             static_cast<double>(accesses);
+}
+
+double DeviceTotals::buffer_hit_rate() const {
+  const u64 lookups = buffer_hits + buffer_misses;
+  return lookups == 0 ? 0.0
+                      : static_cast<double>(buffer_hits) /
+                            static_cast<double>(lookups);
 }
 
 }  // namespace camps::hmc

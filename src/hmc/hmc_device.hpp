@@ -35,6 +35,23 @@ struct HmcConfig {
   fault::FaultConfig fault;
 };
 
+/// Whole-device sums over the vaults: the Fig. 6 and Fig. 7 aggregates.
+struct DeviceTotals {
+  u64 row_hits = 0;
+  u64 row_empties = 0;
+  u64 row_conflicts = 0;
+  u64 prefetches = 0;
+  u64 buffer_hits = 0;
+  u64 buffer_misses = 0;
+  /// Rows that proved useful / all rows ever prefetched (Fig. 7 metric).
+  double prefetch_accuracy = 0.0;
+
+  /// Conflicts as a fraction of all DRAM row-buffer accesses (Fig. 6).
+  double row_conflict_rate() const;
+  /// Buffer hits as a fraction of all buffer lookups.
+  double buffer_hit_rate() const;
+};
+
 class HmcDevice {
  public:
   /// Invoked when a read response reaches the host side of the links.
@@ -42,7 +59,7 @@ class HmcDevice {
 
   HmcDevice(sim::Simulator& sim, const HmcConfig& config,
             prefetch::SchemeKind scheme, const prefetch::SchemeParams& params,
-            StatRegistry* stats, DeliverFn deliver,
+            StatRegistry& stats, DeliverFn deliver,
             obs::TraceRecorder* trace = nullptr);
 
   /// Sends a demand request into the cube at `now` (reads get a later
@@ -61,19 +78,11 @@ class HmcDevice {
   const VaultController& vault(VaultId id) const { return *vaults_[id]; }
   u32 vault_count() const { return static_cast<u32>(vaults_.size()); }
 
-  // --- whole-device aggregates (sum over vaults) ------------------------
-  u64 total_row_hits() const;
-  u64 total_row_empties() const;
-  u64 total_row_conflicts() const;
-  u64 total_prefetches() const;
-  u64 total_buffer_hits() const;
-  u64 total_buffer_misses() const;
-  /// Rows that proved useful / all rows ever prefetched (Fig. 7 metric).
-  double prefetch_accuracy() const;
-  /// Conflicts as a fraction of all DRAM row-buffer accesses (Fig. 6).
-  double row_conflict_rate() const;
+  /// Sums every vault's counters in one pass.
+  DeviceTotals totals() const;
 
-  /// Zeroes all vault counters and the energy model (warmup boundary).
+  /// Zeroes all vault counters, the device's latency histograms and the
+  /// energy model (warmup boundary).
   void reset_stats();
 
   /// Audits every vault controller (each under its own "vaultN" scope).
@@ -107,10 +116,10 @@ class HmcDevice {
   DeliverFn deliver_;
   obs::TraceRecorder* trace_ = nullptr;
 
-  // Latency breakdown (CPU cycles). Null when no registry was provided.
-  Histogram* h_lat_host_queue_ = nullptr;  ///< submit -> link start.
-  Histogram* h_lat_link_down_ = nullptr;   ///< Link start -> vault side.
-  Histogram* h_lat_link_up_ = nullptr;     ///< Vault side -> host side.
+  // Latency breakdown (CPU cycles).
+  Histogram& h_lat_host_queue_;  ///< submit -> link start.
+  Histogram& h_lat_link_down_;   ///< Link start -> vault side.
+  Histogram& h_lat_link_up_;     ///< Vault side -> host side.
 };
 
 static_assert(check::Auditable<HmcDevice>);

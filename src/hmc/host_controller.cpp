@@ -4,22 +4,25 @@
 #include <utility>
 
 namespace camps::hmc {
+namespace {
+
+StatRegistry& checked(StatRegistry* stats) {
+  CAMPS_ASSERT_MSG(stats != nullptr, "HostController requires a StatRegistry");
+  return *stats;
+}
+
+}  // namespace
 
 HostController::HostController(sim::Simulator& sim, const HmcConfig& config,
                                prefetch::SchemeKind scheme,
                                const prefetch::SchemeParams& params,
                                StatRegistry* stats, obs::TraceRecorder* trace)
     : sim_(sim),
-      device_(sim, config, scheme, params, stats,
+      device_(sim, config, scheme, params, checked(stats),
               [this](const MemRequest& req) { deliver(req); }, trace),
       trace_(trace),
-      timeouts_(sim) {
-  if (stats != nullptr) {
-    h_lat_total_read_ = &stats->histogram("latency.total_read_cycles",
-                                          /*bucket_width=*/32,
-                                          /*num_buckets=*/128);
-  }
-}
+      timeouts_(sim),
+      h_lat_total_read_(stats->histogram("latency.total_read_cycles")) {}
 
 u64 HostController::read(Addr addr, CoreId core, CompletionFn on_done) {
   MemRequest req;
@@ -81,7 +84,6 @@ void HostController::on_timeout(u64 id) {
     req.core = pending.core;
     req.created = pending.first_created;
     req.poisoned = true;
-    ++poisoned_;
     plan->count_host_poison(sim_.now() - pending.first_created);
     if (trace_ != nullptr) {
       trace_->record(obs::Stage::kHostRead, req.core, req.id,
@@ -93,7 +95,6 @@ void HostController::on_timeout(u64 id) {
   // Linear backoff: the n-th retry waits n backoff periods before
   // re-entering the cube, spacing repeated attempts under a fault burst.
   const Tick backoff = fault_cfg.host_backoff_ticks * pending.attempt;
-  ++retries_;
   plan->count_host_retry();
   reissue(std::move(pending), backoff);
 }
@@ -138,8 +139,7 @@ void HostController::deliver(const MemRequest& request) {
   if (pending.timer != 0) timeouts_.cancel(pending.timer);
   const u64 cycles =
       (sim_.now() - pending.first_created) / sim::kCpuTicksPerCycle;
-  latency_.sample(cycles);
-  if (h_lat_total_read_ != nullptr) h_lat_total_read_->sample(cycles);
+  h_lat_total_read_.sample(cycles);
   if (trace_ != nullptr) {
     trace_->record(obs::Stage::kHostRead, request.core, request.id,
                    pending.first_created, sim_.now());
@@ -148,25 +148,25 @@ void HostController::deliver(const MemRequest& request) {
     device_.fault_plan()->count_host_recovery(sim_.now() -
                                               pending.first_created);
   }
-  latency_cycles_total_ += cycles;
-  ++completed_;
   CompletionFn on_done = std::move(pending.on_done);
   outstanding_.erase(it);
   if (on_done) on_done(request);
 }
 
 void HostController::reset_stats() {
-  latency_.reset();
-  latency_cycles_total_ = 0;
-  reads_ = writes_ = completed_ = 0;
-  poisoned_ = retries_ = 0;
+  h_lat_total_read_.reset();
+  reads_ = writes_ = 0;
   device_.reset_stats();
 }
 
-double HostController::mean_read_latency_cycles() const {
-  return completed_ == 0 ? 0.0
-                         : static_cast<double>(latency_cycles_total_) /
-                               static_cast<double>(completed_);
+u64 HostController::reads_poisoned() const {
+  const fault::FaultPlan* plan = device_.fault_plan();
+  return plan == nullptr ? 0 : plan->host_poisoned();
+}
+
+u64 HostController::retries_issued() const {
+  const fault::FaultPlan* plan = device_.fault_plan();
+  return plan == nullptr ? 0 : plan->host_retries();
 }
 
 }  // namespace camps::hmc

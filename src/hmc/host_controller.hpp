@@ -26,6 +26,8 @@ class HostController final {
  public:
   using CompletionFn = std::function<void(const MemRequest&)>;
 
+  /// `stats` must be non-null: every latency and fault statistic lives in
+  /// it.
   HostController(sim::Simulator& sim, const HmcConfig& config,
                  prefetch::SchemeKind scheme,
                  const prefetch::SchemeParams& params, StatRegistry* stats,
@@ -47,17 +49,20 @@ class HostController final {
   // --- latency statistics ----------------------------------------------
   u64 reads_issued() const { return reads_; }
   u64 writes_issued() const { return writes_; }
-  u64 reads_completed() const { return completed_; }
-  /// Reads completed with the poison marker after retry exhaustion.
-  u64 reads_poisoned() const { return poisoned_; }
-  /// Timeout-driven re-issues (each consumes one unit of retry budget).
-  u64 retries_issued() const { return retries_; }
+  u64 reads_completed() const { return h_lat_total_read_.count(); }
+  /// Reads completed with the poison marker after retry exhaustion
+  /// (fault.host_poisoned; 0 without a fault plan).
+  u64 reads_poisoned() const;
+  /// Timeout-driven re-issues, each consuming one unit of retry budget
+  /// (fault.host_retries; 0 without a fault plan).
+  u64 retries_issued() const;
   /// Mean read latency in CPU cycles (submission -> delivery).
-  double mean_read_latency_cycles() const;
-  const Histogram& latency_histogram() const { return latency_; }
+  double mean_read_latency_cycles() const { return h_lat_total_read_.mean(); }
+  const Histogram& latency_histogram() const { return h_lat_total_read_; }
 
   /// Zeroes latency statistics and the device's counters (outstanding
-  /// requests are unaffected); marks the warmup boundary.
+  /// requests are unaffected); marks the warmup boundary. The fault.*
+  /// counters reset with the registry.
   void reset_stats();
 
   /// Audits the id/outstanding bookkeeping, then the whole device.
@@ -92,12 +97,10 @@ class HostController final {
   // unspecified iteration order cannot leak into results.
   std::unordered_map<u64, Pending> outstanding_;  // camps-lint: allow(determinism)
   sim::TimeoutScheduler timeouts_;
-  Histogram latency_{/*bucket_width=*/25, /*num_buckets=*/128};
-  Histogram* h_lat_total_read_ = nullptr;  ///< Registry copy of latency_.
+  /// Round-trip latency of every completed read, CPU cycles.
+  Histogram& h_lat_total_read_;
   u64 next_id_ = 1;
-  u64 reads_ = 0, writes_ = 0, completed_ = 0;
-  u64 poisoned_ = 0, retries_ = 0;
-  u64 latency_cycles_total_ = 0;
+  u64 reads_ = 0, writes_ = 0;
 };
 
 static_assert(check::Auditable<HostController>);

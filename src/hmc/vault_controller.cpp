@@ -13,10 +13,19 @@ namespace camps::hmc {
 using dram::RowBufferOutcome;
 using energy::EnergyEvent;
 
+namespace {
+
+/// Registry name of one of vault `id`'s own statistics.
+std::string stat_name(VaultId id, const char* stat) {
+  return "vault" + std::to_string(id) + "." + stat;
+}
+
+}  // namespace
+
 VaultController::VaultController(
     sim::Simulator& sim, VaultId id, const VaultConfig& config,
     std::unique_ptr<prefetch::PrefetchScheme> scheme,
-    energy::EnergyModel* energy, StatRegistry* stats, RespondFn respond,
+    energy::EnergyModel* energy, StatRegistry& stats, RespondFn respond,
     obs::TraceRecorder* trace)
     : sim_(sim),
       id_(id),
@@ -27,6 +36,17 @@ VaultController::VaultController(
       refresh_(cfg_.timing, cfg_.refresh_enabled),
       energy_(energy),
       respond_(std::move(respond)),
+      c_rb_hit_(stats.counter(stat_name(id, "rb_hit"))),
+      c_rb_empty_(stats.counter(stat_name(id, "rb_empty"))),
+      c_rb_conflict_(stats.counter(stat_name(id, "rb_conflict"))),
+      c_buf_hit_(stats.counter(stat_name(id, "buffer_hit"))),
+      c_prefetch_(stats.counter(stat_name(id, "prefetch_issued"))),
+      h_queue_wait_(stats.histogram(stat_name(id, "queue_wait_cycles"))),
+      // Shared across vaults: the registry hands back the same histogram
+      // for every vault, so these aggregate device-wide.
+      h_lat_vault_queue_(stats.histogram("latency.vault_queue_cycles")),
+      h_lat_bank_service_(stats.histogram("latency.bank_service_cycles")),
+      h_lat_buffer_hit_(stats.histogram("latency.buffer_hit_cycles")),
       trace_(trace) {
   CAMPS_ASSERT(cfg_.banks > 0 && cfg_.banks <= 32);  // scheduler bank bitmask
   CAMPS_ASSERT(cfg_.read_queue > 0 && cfg_.write_queue > 0);
@@ -36,27 +56,6 @@ VaultController::VaultController(
   for (u32 b = 0; b < cfg_.banks; ++b) banks_.emplace_back(cfg_.timing);
   open_row_refs_.resize(cfg_.banks);
   buffer_hit_ticks_ = cfg_.buffer.hit_latency * sim::kCpuTicksPerCycle;
-  if (stats != nullptr) {
-    const std::string prefix = "vault" + std::to_string(id_) + ".";
-    c_rb_hit_ = &stats->counter(prefix + "rb_hit");
-    c_rb_empty_ = &stats->counter(prefix + "rb_empty");
-    c_rb_conflict_ = &stats->counter(prefix + "rb_conflict");
-    c_buf_hit_ = &stats->counter(prefix + "buffer_hit");
-    c_prefetch_ = &stats->counter(prefix + "prefetch_issued");
-    h_queue_wait_ = &stats->histogram(prefix + "queue_wait_cycles",
-                                      /*bucket_width=*/8, /*num_buckets=*/64);
-    // Shared across vaults: the registry hands back the same histogram for
-    // every vault, so these aggregate device-wide.
-    h_lat_vault_queue_ = &stats->histogram("latency.vault_queue_cycles",
-                                           /*bucket_width=*/16,
-                                           /*num_buckets=*/128);
-    h_lat_bank_service_ = &stats->histogram("latency.bank_service_cycles",
-                                            /*bucket_width=*/8,
-                                            /*num_buckets=*/64);
-    h_lat_buffer_hit_ = &stats->histogram("latency.buffer_hit_cycles",
-                                          /*bucket_width=*/2,
-                                          /*num_buckets=*/32);
-  }
   for (u32 b = 0; b < cfg_.banks; ++b) {
     banks_[b].attach_trace(trace_, id_ * cfg_.banks + b);
   }
@@ -64,9 +63,17 @@ VaultController::VaultController(
 }
 
 void VaultController::reset_stats() {
-  n_rb_hit_ = n_rb_empty_ = n_rb_conflict_ = 0;
+  c_rb_hit_.reset();
+  c_rb_empty_.reset();
+  c_rb_conflict_.reset();
+  c_buf_hit_.reset();
+  c_prefetch_.reset();
+  h_queue_wait_.reset();
+  h_lat_vault_queue_.reset();
+  h_lat_bank_service_.reset();
+  h_lat_buffer_hit_.reset();
   n_reads_ = n_writes_ = 0;
-  n_prefetch_issued_ = n_prefetch_dropped_ = 0;
+  n_prefetch_dropped_ = 0;
   n_degrade_flushes_ = 0;
   buffer_.reset_stats();
 }
@@ -183,15 +190,11 @@ bool VaultController::serve_from_buffer(const QueueEntry& entry, u64 cycle,
   const bool predates_insert = entry.enqueue_cycle < *stamp;
   buffer_.access(key, entry.column, entry.req.type,
                  /*fill_touch=*/predates_insert);
-  if (c_buf_hit_ != nullptr) c_buf_hit_->inc();
+  c_buf_hit_.inc();
   if (energy_ != nullptr) energy_->add(EnergyEvent::kBufferAccess);
-  if (h_lat_buffer_hit_ != nullptr) {
-    h_lat_buffer_hit_->sample(cfg_.buffer.hit_latency);
-  }
-  if (h_lat_vault_queue_ != nullptr) {
-    h_lat_vault_queue_->sample(
-        cpu_cycles_of_dram(cycle - std::min(cycle, entry.enqueue_cycle)));
-  }
+  h_lat_buffer_hit_.sample(cfg_.buffer.hit_latency);
+  h_lat_vault_queue_.sample(
+      cpu_cycles_of_dram(cycle - std::min(cycle, entry.enqueue_cycle)));
   if (trace_ != nullptr) {
     trace_->record(obs::Stage::kBufferHit, id_, entry.req.id, tick_of(cycle),
                    tick_of(cycle) + buffer_hit_ticks_);
@@ -271,16 +274,13 @@ void VaultController::classify_if_new(QueueEntry& entry, u64 cycle) {
   entry.outcome = banks_[entry.bank].classify(cycle, entry.row);
   switch (entry.outcome) {
     case RowBufferOutcome::kHit:
-      ++n_rb_hit_;
-      if (c_rb_hit_ != nullptr) c_rb_hit_->inc();
+      c_rb_hit_.inc();
       break;
     case RowBufferOutcome::kEmpty:
-      ++n_rb_empty_;
-      if (c_rb_empty_ != nullptr) c_rb_empty_->inc();
+      c_rb_empty_.inc();
       break;
     case RowBufferOutcome::kConflict:
-      ++n_rb_conflict_;
-      if (c_rb_conflict_ != nullptr) c_rb_conflict_->inc();
+      c_rb_conflict_.inc();
       break;
   }
 }
@@ -420,10 +420,8 @@ bool VaultController::issue_demand_column(u64 cycle) {
 
     note_row_reference(it->bank, it->row, it->column);
     const u64 waited = cycle - std::min(cycle, it->enqueue_cycle);
-    if (h_queue_wait_ != nullptr) h_queue_wait_->sample(waited);
-    if (h_lat_vault_queue_ != nullptr) {
-      h_lat_vault_queue_->sample(cpu_cycles_of_dram(waited));
-    }
+    h_queue_wait_.sample(waited);
+    h_lat_vault_queue_.sample(cpu_cycles_of_dram(waited));
     if (trace_ != nullptr && waited > 0) {
       trace_->record(obs::Stage::kVaultQueue, id_, it->req.id,
                      tick_of(cycle - waited), tick_of(cycle));
@@ -446,9 +444,7 @@ bool VaultController::issue_demand_column(u64 cycle) {
       if (energy_ != nullptr) energy_->add(EnergyEvent::kWriteLine);
       // Posted write: completes silently.
     }
-    if (h_lat_bank_service_ != nullptr) {
-      h_lat_bank_service_->sample(cpu_cycles_of_dram(done - cycle));
-    }
+    h_lat_bank_service_.sample(cpu_cycles_of_dram(done - cycle));
     bus_free_cycle_ = done;
     apply_decision(decision, *it);
     if (cfg_.page_policy == PagePolicy::kClosed && !decision.precharge_after) {
@@ -532,8 +528,7 @@ void VaultController::complete_fetch(BankId bank, RowId row,
   const auto result =
       buffer_.insert(BankRow{bank, row}, seed_bitmap, issue_cycle);
   if (!result.inserted) return;
-  ++n_prefetch_issued_;
-  if (c_prefetch_ != nullptr) c_prefetch_->inc();
+  c_prefetch_.inc();
   if (result.victim) {
     scheme_->on_prefetch_evicted(result.victim->id, result.victim->referenced);
     if (result.victim->dirty && energy_ != nullptr) {

@@ -69,7 +69,7 @@ class VaultController final {
 
   VaultController(sim::Simulator& sim, VaultId id, const VaultConfig& config,
                   std::unique_ptr<prefetch::PrefetchScheme> scheme,
-                  energy::EnergyModel* energy, StatRegistry* stats,
+                  energy::EnergyModel* energy, StatRegistry& stats,
                   RespondFn respond, obs::TraceRecorder* trace = nullptr);
 
   VaultController(const VaultController&) = delete;
@@ -86,12 +86,12 @@ class VaultController final {
   const prefetch::PrefetchScheme& scheme() const { return *scheme_; }
 
   // --- aggregate accessors used by results reporting -------------------
-  u64 row_hits() const { return n_rb_hit_; }
-  u64 row_empties() const { return n_rb_empty_; }
-  u64 row_conflicts() const { return n_rb_conflict_; }
+  u64 row_hits() const { return c_rb_hit_.value(); }
+  u64 row_empties() const { return c_rb_empty_.value(); }
+  u64 row_conflicts() const { return c_rb_conflict_.value(); }
   u64 demand_reads() const { return n_reads_; }
   u64 demand_writes() const { return n_writes_; }
-  u64 prefetches_issued() const { return n_prefetch_issued_; }
+  u64 prefetches_issued() const { return c_prefetch_.value(); }
   u64 prefetches_dropped() const { return n_prefetch_dropped_; }
 
   /// Fault-recovery degradation: quiesces this vault's prefetch state
@@ -105,8 +105,9 @@ class VaultController final {
   void degrade_flush();
   u64 degrade_flushes() const { return n_degrade_flushes_; }
 
-  /// Zeroes counters (scheduler and buffer contents are untouched); marks
-  /// the warmup / measurement boundary.
+  /// Zeroes counters, including this vault's registry entries (scheduler
+  /// and buffer contents are untouched); marks the warmup / measurement
+  /// boundary.
   void reset_stats();
 
   /// Audits this vault and everything it owns: per-bank FSMs, the prefetch
@@ -226,23 +227,22 @@ class VaultController final {
   Tick next_wake_tick_ = 0;  ///< Earliest pending wake; later ones are stale.
   u64 inflight_ = 0;  ///< Reads issued to DRAM whose data is still in flight.
 
-  // Statistics (registry-backed where a registry is provided).
-  u64 n_rb_hit_ = 0, n_rb_empty_ = 0, n_rb_conflict_ = 0;
+  // Statistics. Counts with a registry entry live only there.
   u64 n_reads_ = 0, n_writes_ = 0;
-  u64 n_prefetch_issued_ = 0, n_prefetch_dropped_ = 0;
+  u64 n_prefetch_dropped_ = 0;
   u64 n_degrade_flushes_ = 0;
-  Counter* c_rb_hit_ = nullptr;
-  Counter* c_rb_empty_ = nullptr;
-  Counter* c_rb_conflict_ = nullptr;
-  Counter* c_buf_hit_ = nullptr;
-  Counter* c_prefetch_ = nullptr;
-  Histogram* h_queue_wait_ = nullptr;  ///< DRAM cycles from enqueue to issue.
+  Counter& c_rb_hit_;
+  Counter& c_rb_empty_;
+  Counter& c_rb_conflict_;
+  Counter& c_buf_hit_;
+  Counter& c_prefetch_;
+  Histogram& h_queue_wait_;  ///< DRAM cycles from enqueue to issue.
 
   // Device-wide latency breakdown (registry entries shared by all vaults;
-  // all in CPU cycles). Null when no registry was provided.
-  Histogram* h_lat_vault_queue_ = nullptr;  ///< Enqueue -> leave the queue.
-  Histogram* h_lat_bank_service_ = nullptr; ///< Column issue -> data done.
-  Histogram* h_lat_buffer_hit_ = nullptr;   ///< Prefetch-buffer hit serves.
+  // all in CPU cycles).
+  Histogram& h_lat_vault_queue_;   ///< Enqueue -> leave the queue.
+  Histogram& h_lat_bank_service_;  ///< Column issue -> data done.
+  Histogram& h_lat_buffer_hit_;    ///< Prefetch-buffer hit serves.
 
   obs::TraceRecorder* trace_ = nullptr;
 

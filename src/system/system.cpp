@@ -176,19 +176,16 @@ RunResults System::collect_results() const {
   r.mem_latency_cycles = host_->mean_read_latency_cycles();
 
   const auto& device = host_->device();
-  r.row_hits = device.total_row_hits();
-  r.row_empties = device.total_row_empties();
-  r.row_conflicts = device.total_row_conflicts();
-  r.row_conflict_rate = device.row_conflict_rate();
-  r.prefetches = device.total_prefetches();
-  r.prefetch_accuracy = device.prefetch_accuracy();
-  r.buffer_hits = device.total_buffer_hits();
-  r.buffer_misses = device.total_buffer_misses();
-  const u64 buffer_lookups = r.buffer_hits + r.buffer_misses;
-  r.buffer_hit_rate = buffer_lookups == 0
-                          ? 0.0
-                          : static_cast<double>(r.buffer_hits) /
-                                static_cast<double>(buffer_lookups);
+  const hmc::DeviceTotals t = device.totals();
+  r.row_hits = t.row_hits;
+  r.row_empties = t.row_empties;
+  r.row_conflicts = t.row_conflicts;
+  r.row_conflict_rate = t.row_conflict_rate();
+  r.prefetches = t.prefetches;
+  r.prefetch_accuracy = t.prefetch_accuracy;
+  r.buffer_hits = t.buffer_hits;
+  r.buffer_misses = t.buffer_misses;
+  r.buffer_hit_rate = t.buffer_hit_rate();
 
   r.memory_reads = caches_->memory_reads();
   r.memory_writes = caches_->memory_writes();
@@ -261,18 +258,16 @@ RunResults System::collect_results() const {
 obs::EpochSample System::sample_epoch() const {
   obs::EpochSample s;
   const auto& device = host_->device();
-  s.row_hits = device.total_row_hits();
-  s.row_empties = device.total_row_empties();
-  s.row_conflicts = device.total_row_conflicts();
-  s.row_conflict_rate = device.row_conflict_rate();
-  s.prefetches_issued = device.total_prefetches();
-  s.prefetch_accuracy = device.prefetch_accuracy();
-  s.buffer_hits = device.total_buffer_hits();
-  s.buffer_misses = device.total_buffer_misses();
-  const u64 lookups = s.buffer_hits + s.buffer_misses;
-  s.buffer_hit_rate = lookups == 0 ? 0.0
-                                   : static_cast<double>(s.buffer_hits) /
-                                         static_cast<double>(lookups);
+  const hmc::DeviceTotals t = device.totals();
+  s.row_hits = t.row_hits;
+  s.row_empties = t.row_empties;
+  s.row_conflicts = t.row_conflicts;
+  s.row_conflict_rate = t.row_conflict_rate();
+  s.prefetches_issued = t.prefetches;
+  s.prefetch_accuracy = t.prefetch_accuracy;
+  s.buffer_hits = t.buffer_hits;
+  s.buffer_misses = t.buffer_misses;
+  s.buffer_hit_rate = t.buffer_hit_rate();
   s.link_down_busy_ticks = device.link_busy_ticks_down();
   s.link_up_busy_ticks = device.link_busy_ticks_up();
   for (VaultId v = 0; v < device.vault_count(); ++v) {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 #include <string>
 
+#include "temp_path.hpp"
+
 namespace camps {
 namespace {
 
@@ -152,7 +154,7 @@ TEST(ConfigFile, LoadMissingFileThrows) {
 }
 
 TEST(ConfigFile, LoadRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/camps_cfg_test.ini";
+  const std::string path = test_temp_path(".ini");
   {
     std::ofstream out(path);
     out << "[sim]\nticks = 123\n";

@@ -1,7 +1,13 @@
 #include "common/stats.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
 #include <string>
+#include <vector>
+
+#include "common/rng.hpp"
 
 namespace camps {
 namespace {
@@ -26,7 +32,7 @@ TEST(Counter, Reset) {
 }
 
 TEST(Histogram, EmptyIsZero) {
-  Histogram h(10, 10);
+  Histogram h;
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.sum(), 0u);
   EXPECT_EQ(h.min(), 0u);
@@ -36,7 +42,7 @@ TEST(Histogram, EmptyIsZero) {
 }
 
 TEST(Histogram, TracksExactAggregates) {
-  Histogram h(10, 10);
+  Histogram h;
   h.sample(5);
   h.sample(25);
   h.sample(15);
@@ -47,24 +53,60 @@ TEST(Histogram, TracksExactAggregates) {
   EXPECT_DOUBLE_EQ(h.mean(), 15.0);
 }
 
-TEST(Histogram, BucketPlacement) {
-  Histogram h(10, 4);  // buckets [0,10) [10,20) [20,30) [30,40) + overflow
-  h.sample(0);
-  h.sample(9);
-  h.sample(10);
-  h.sample(39);
-  h.sample(40);   // overflow
-  h.sample(1000); // overflow
-  const auto& b = h.buckets();
-  EXPECT_EQ(b[0], 2u);
-  EXPECT_EQ(b[1], 1u);
-  EXPECT_EQ(b[2], 0u);
-  EXPECT_EQ(b[3], 1u);
-  EXPECT_EQ(b[4], 2u);
+TEST(Histogram, SmallValuesAreExact) {
+  // Every value below 2 * kSubBuckets has a bucket of its own, so each
+  // percentile of a dense small range is the sample at that rank.
+  const u64 n = 2 * Histogram::kSubBuckets;
+  Histogram h;
+  for (u64 v = 0; v < n; ++v) h.sample(v);
+  for (u64 v = 0; v < n; ++v) {
+    // Aim mid-rank so floating-point rounding cannot slip to rank v - 1.
+    const double p =
+        100.0 * (static_cast<double>(v) + 0.5) / static_cast<double>(n - 1);
+    EXPECT_DOUBLE_EQ(h.percentile(p), static_cast<double>(v)) << "p" << p;
+  }
+}
+
+TEST(Histogram, RelativeErrorBoundedUpTo2Pow40) {
+  // Log-uniform samples over [1, 2^40]: each reported percentile must lie
+  // within kMaxRelativeError of the exact sample at the same rank.
+  Rng rng(42);
+  Histogram h;
+  std::vector<u64> values;
+  for (int i = 0; i < 20000; ++i) {
+    const u64 v = std::max<u64>(1, rng.next() >> (24 + rng.next_below(40)));
+    values.push_back(v);
+    h.sample(v);
+  }
+  h.sample(u64{1} << 40);
+  values.push_back(u64{1} << 40);
+  std::sort(values.begin(), values.end());
+  for (double p : {0.0, 1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0, 99.9,
+                   100.0}) {
+    const size_t rank = static_cast<size_t>(
+        p / 100.0 * static_cast<double>(values.size() - 1));
+    const double exact = static_cast<double>(values[rank]);
+    EXPECT_LE(std::abs(h.percentile(p) - exact),
+              exact * Histogram::kMaxRelativeError)
+        << "p" << p << " exact " << exact;
+  }
+  EXPECT_EQ(h.max(), u64{1} << 40);
+}
+
+TEST(Histogram, PercentilesStayWithinMinMax) {
+  // One wide bucket holding both samples: its midpoint lies outside
+  // [min, max], so the clamp must pull it back.
+  Histogram h;
+  h.sample(1000);
+  h.sample(1001);
+  for (double p : {0.0, 50.0, 100.0}) {
+    EXPECT_GE(h.percentile(p), 1000.0);
+    EXPECT_LE(h.percentile(p), 1001.0);
+  }
 }
 
 TEST(Histogram, PercentileOrdering) {
-  Histogram h(1, 128);
+  Histogram h;
   for (u64 v = 0; v < 100; ++v) h.sample(v);
   EXPECT_LE(h.percentile(10), h.percentile(50));
   EXPECT_LE(h.percentile(50), h.percentile(99));
@@ -73,36 +115,35 @@ TEST(Histogram, PercentileOrdering) {
 
 TEST(Histogram, PercentileEdgeCases) {
   // Empty histogram: every percentile is 0.
-  Histogram empty(10, 4);
+  Histogram empty;
   EXPECT_DOUBLE_EQ(empty.percentile(0), 0.0);
   EXPECT_DOUBLE_EQ(empty.percentile(100), 0.0);
 
-  // Single sample: all percentiles land in its bucket (midpoint reported).
-  Histogram one(10, 4);
-  one.sample(17);
-  EXPECT_DOUBLE_EQ(one.percentile(0), 15.0);
-  EXPECT_DOUBLE_EQ(one.percentile(50), 15.0);
-  EXPECT_DOUBLE_EQ(one.percentile(100), 15.0);
-
-  // Out-of-range p clamps instead of reading past the distribution.
-  EXPECT_DOUBLE_EQ(one.percentile(-5), one.percentile(0));
-  EXPECT_DOUBLE_EQ(one.percentile(250), one.percentile(100));
-
-  // Samples past the last bucket land in the overflow bucket, which reports
-  // its lower edge (the bucketing can't know how far past it they went).
-  Histogram over(10, 4);  // tracked range [0, 40), overflow edge at 40
-  over.sample(1000);
-  EXPECT_DOUBLE_EQ(over.percentile(50), 40.0);
-  EXPECT_EQ(over.max(), 1000u);
+  // Single sample, small or large: every percentile is that sample.
+  for (u64 v : {u64{17}, u64{30825}, u64{1} << 40}) {
+    Histogram one;
+    one.sample(v);
+    for (double p : {0.0, 50.0, 95.0, 99.0, 100.0}) {
+      EXPECT_DOUBLE_EQ(one.percentile(p), static_cast<double>(v));
+    }
+    // Out-of-range p clamps instead of reading past the distribution.
+    EXPECT_DOUBLE_EQ(one.percentile(-5), one.percentile(0));
+    EXPECT_DOUBLE_EQ(one.percentile(250), one.percentile(100));
+  }
 }
 
 TEST(Histogram, ResetClearsEverything) {
-  Histogram h(10, 4);
+  Histogram h;
   h.sample(3);
+  h.sample(5000);
   h.reset();
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.sum(), 0u);
-  for (u64 b : h.buckets()) EXPECT_EQ(b, 0u);
+  EXPECT_EQ(h.min(), 0u);
+  EXPECT_EQ(h.max(), 0u);
+  EXPECT_DOUBLE_EQ(h.percentile(50), 0.0);
+  h.sample(7);
+  EXPECT_DOUBLE_EQ(h.percentile(100), 7.0) << "no sample survives a reset";
 }
 
 TEST(StatRegistry, CounterIdentityIsStable) {
@@ -119,11 +160,11 @@ TEST(StatRegistry, MissingCounterReadsZero) {
   EXPECT_FALSE(reg.has_counter("nope"));
 }
 
-TEST(StatRegistry, HistogramKeepsParamsOnRelookup) {
+TEST(StatRegistry, HistogramIdentityIsStable) {
   StatRegistry reg;
-  Histogram& h = reg.histogram("lat", 100, 8);
+  Histogram& h = reg.histogram("lat");
   h.sample(50);
-  Histogram& again = reg.histogram("lat", 999, 1);  // params ignored
+  Histogram& again = reg.histogram("lat");
   EXPECT_EQ(&h, &again);
   EXPECT_EQ(again.count(), 1u);
 }
@@ -181,30 +222,58 @@ TEST(Counter, MergeFromAdds) {
   EXPECT_EQ(b.value(), 7u) << "merge_from must not mutate the source";
 }
 
+/// Every aggregate and a sweep of percentiles agree.
+void expect_same_distribution(const Histogram& a, const Histogram& b) {
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.sum(), b.sum());
+  EXPECT_EQ(a.min(), b.min());
+  EXPECT_EQ(a.max(), b.max());
+  for (double p = 0.0; p <= 100.0; p += 0.5) {
+    EXPECT_DOUBLE_EQ(a.percentile(p), b.percentile(p)) << "p" << p;
+  }
+}
+
 TEST(Histogram, MergeFromCombinesAllAggregates) {
-  Histogram a(10, 4), b(10, 4);
+  Histogram a, b;
   a.sample(5);
   a.sample(35);
   b.sample(15);
-  b.sample(95);  // overflow bucket
+  b.sample(95);
   a.merge_from(b);
   EXPECT_EQ(a.count(), 4u);
   EXPECT_EQ(a.sum(), 150u);
   EXPECT_EQ(a.min(), 5u);
   EXPECT_EQ(a.max(), 95u);
-  EXPECT_EQ(a.buckets()[0], 1u);
-  EXPECT_EQ(a.buckets()[1], 1u);
-  EXPECT_EQ(a.buckets()[3], 1u);
-  EXPECT_EQ(a.buckets()[4], 1u);
+}
+
+TEST(Histogram, MergeEqualsSamplingTheUnion) {
+  // `a` stays small while `b` reaches far larger magnitudes, so the merge
+  // also has to grow a's storage.
+  Rng rng(7);
+  Histogram a, b, both;
+  for (int i = 0; i < 5000; ++i) {
+    const u64 small = rng.next_below(200);
+    const u64 large = rng.next() >> (20 + rng.next_below(44));
+    a.sample(small);
+    b.sample(large);
+    both.sample(small);
+    both.sample(large);
+  }
+  Histogram merged = a;
+  merged.merge_from(b);
+  expect_same_distribution(merged, both);
+  Histogram reverse = b;
+  reverse.merge_from(a);
+  expect_same_distribution(reverse, both);
 }
 
 TEST(Histogram, MergeFromEmptySidesPreserveMinMax) {
-  Histogram a(10, 4), b(10, 4);
+  Histogram a, b;
   b.sample(20);
   a.merge_from(b);  // empty += non-empty adopts the source min/max
   EXPECT_EQ(a.min(), 20u);
   EXPECT_EQ(a.max(), 20u);
-  Histogram empty(10, 4);
+  Histogram empty;
   a.merge_from(empty);  // non-empty += empty is a no-op
   EXPECT_EQ(a.count(), 1u);
   EXPECT_EQ(a.min(), 20u);
@@ -215,12 +284,12 @@ TEST(StatRegistry, MergeFromAddsCountersAndCreatesMissing) {
   a.counter("shared").inc(1);
   b.counter("shared").inc(2);
   b.counter("only_b").inc(9);
-  b.histogram("lat", 10, 4).sample(25);
+  b.histogram("lat").sample(25);
   a.merge_from(b);
   EXPECT_EQ(a.counter_value("shared"), 3u);
   EXPECT_EQ(a.counter_value("only_b"), 9u);
-  EXPECT_EQ(a.histogram("lat", 10, 4).count(), 1u);
-  EXPECT_EQ(a.histogram("lat", 10, 4).buckets()[2], 1u);
+  EXPECT_EQ(a.histogram("lat").count(), 1u);
+  EXPECT_DOUBLE_EQ(a.histogram("lat").percentile(50), 25.0);
 }
 
 TEST(StatRegistry, ResetZeroesCounters) {

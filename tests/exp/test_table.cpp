@@ -7,6 +7,8 @@
 #include <sstream>
 #include <string>
 
+#include "temp_path.hpp"
+
 namespace camps::exp {
 namespace {
 
@@ -69,7 +71,7 @@ TEST(Table, CsvEscapesCommasAndQuotes) {
 TEST(Table, WriteCsvRoundTrip) {
   Table t({"k", "v"});
   t.add_row({"alpha", "42"});
-  const std::string path = ::testing::TempDir() + "/camps_table.csv";
+  const std::string path = test_temp_path(".csv");
   t.write_csv(path);
   std::ifstream in(path);
   std::string contents((std::istreambuf_iterator<char>(in)),

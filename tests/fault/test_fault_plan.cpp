@@ -11,7 +11,8 @@ namespace camps::fault {
 namespace {
 
 TEST(FaultPlan, DefaultConfigInjectsNothing) {
-  FaultPlan plan(FaultConfig{}, nullptr);
+  StatRegistry stats;
+  FaultPlan plan(FaultConfig{}, stats);
   for (int i = 0; i < 10000; ++i) {
     EXPECT_FALSE(plan.roll(Site::kLinkDownCrc, 0));
     EXPECT_FALSE(plan.roll(Site::kVaultStall, static_cast<u32>(i % 32)));
@@ -22,7 +23,8 @@ TEST(FaultPlan, DefaultConfigInjectsNothing) {
 TEST(FaultPlan, RateOneAlwaysFaults) {
   FaultConfig cfg;
   cfg.link_crc_rate = 1.0;
-  FaultPlan plan(cfg, nullptr);
+  StatRegistry stats;
+  FaultPlan plan(cfg, stats);
   for (int i = 0; i < 100; ++i) {
     EXPECT_TRUE(plan.roll(Site::kLinkDownCrc, 2));
     EXPECT_TRUE(plan.roll(Site::kLinkUpCrc, 2));
@@ -37,8 +39,9 @@ TEST(FaultPlan, DecisionsAreAPureFunctionOfCoordinates) {
   // Plan A rolls only unit 0; plan B interleaves three units. The unit-0
   // decision stream must be identical — this independence is what makes
   // fault campaigns byte-stable across --jobs orderings.
-  FaultPlan a(cfg, nullptr);
-  FaultPlan b(cfg, nullptr);
+  StatRegistry stats;
+  FaultPlan a(cfg, stats);
+  FaultPlan b(cfg, stats);
   std::vector<bool> stream_a, stream_b;
   for (int i = 0; i < 2000; ++i) {
     stream_a.push_back(a.roll(Site::kLinkDownCrc, 0));
@@ -54,7 +57,8 @@ TEST(FaultPlan, DecisionsAreAPureFunctionOfCoordinates) {
 TEST(FaultPlan, RateMatchesFrequency) {
   FaultConfig cfg;
   cfg.link_drop_rate = 0.1;
-  FaultPlan plan(cfg, nullptr);
+  StatRegistry stats;
+  FaultPlan plan(cfg, stats);
   int faults = 0;
   for (int i = 0; i < 10000; ++i) {
     if (plan.roll(Site::kLinkDownDrop, 0)) ++faults;
@@ -69,7 +73,8 @@ TEST(FaultPlan, SeedChangesTheDecisionStream) {
   cfg1.link_crc_rate = cfg2.link_crc_rate = 0.5;
   cfg1.seed = 1;
   cfg2.seed = 2;
-  FaultPlan p1(cfg1, nullptr), p2(cfg2, nullptr);
+  StatRegistry stats;
+  FaultPlan p1(cfg1, stats), p2(cfg2, stats);
   bool differ = false;
   for (int i = 0; i < 200; ++i) {
     differ |= p1.roll(Site::kLinkDownCrc, 0) != p2.roll(Site::kLinkDownCrc, 0);
@@ -80,7 +85,8 @@ TEST(FaultPlan, SeedChangesTheDecisionStream) {
 TEST(FaultPlan, TargetedFaultHitsExactCoordinate) {
   FaultConfig cfg;
   cfg.targeted.push_back({Site::kVaultStall, /*unit=*/3, /*sequence=*/2});
-  FaultPlan plan(cfg, nullptr);
+  StatRegistry stats;
+  FaultPlan plan(cfg, stats);
   EXPECT_EQ(plan.next_sequence(Site::kVaultStall, 3), 0u);
   EXPECT_FALSE(plan.roll(Site::kVaultStall, 3));  // sequence 0
   EXPECT_FALSE(plan.roll(Site::kVaultStall, 3));  // sequence 1
@@ -98,7 +104,7 @@ TEST(FaultPlan, CountersAndHistogramRegister) {
   StatRegistry stats;
   FaultConfig cfg;
   cfg.link_crc_rate = 0.5;
-  FaultPlan plan(cfg, &stats);
+  FaultPlan plan(cfg, stats);
   plan.count_crc_error();
   plan.count_replay(/*recovery_ticks=*/2400);
   plan.count_link_drop();

@@ -42,7 +42,8 @@ TEST(FaultRecovery, CrcFailedTransferReplaysByteIdentically) {
   fault::FaultConfig cfg;
   cfg.targeted.push_back({fault::Site::kLinkDownCrc, /*unit=*/0,
                           /*sequence=*/0});
-  fault::FaultPlan plan(cfg, nullptr);
+  StatRegistry stats;
+  fault::FaultPlan plan(cfg, stats);
 
   LinkDirection faulty;
   faulty.attach_faults(&plan, /*link_index=*/0, /*upstream=*/false);
@@ -78,7 +79,8 @@ TEST(FaultRecovery, CrcFailedTransferReplaysByteIdentically) {
 TEST(FaultRecovery, DroppedTransferNeverDelivers) {
   fault::FaultConfig cfg;
   cfg.targeted.push_back({fault::Site::kLinkDownDrop, 0, 0});
-  fault::FaultPlan plan(cfg, nullptr);
+  StatRegistry stats;
+  fault::FaultPlan plan(cfg, stats);
   LinkDirection link;
   link.attach_faults(&plan, 0, false);
   const auto xfer = link.submit_ex(0, 1);

@@ -120,10 +120,9 @@ TEST(HmcDevice, AggregatesSumOverVaults) {
     h.host->read(map.encode(d), 0, nullptr);
   }
   h.sim.run();
-  EXPECT_EQ(h.host->device().total_row_empties(), 8u);
-  EXPECT_EQ(h.host->device().total_row_hits() +
-                h.host->device().total_row_conflicts(),
-            0u);
+  const DeviceTotals t = h.host->device().totals();
+  EXPECT_EQ(t.row_empties, 8u);
+  EXPECT_EQ(t.row_hits + t.row_conflicts, 0u);
 }
 
 TEST(HmcDevice, EnergyAccumulatesLinkAndDramEvents) {
@@ -142,8 +141,8 @@ TEST(HmcDevice, PrefetchAccuracyZeroWithoutPrefetching) {
   DeviceHarness h(prefetch::SchemeKind::kNone);
   h.host->read(0x40, 0, nullptr);
   h.sim.run();
-  EXPECT_DOUBLE_EQ(h.host->device().prefetch_accuracy(), 0.0);
-  EXPECT_EQ(h.host->device().total_prefetches(), 0u);
+  EXPECT_DOUBLE_EQ(h.host->device().totals().prefetch_accuracy, 0.0);
+  EXPECT_EQ(h.host->device().totals().prefetches, 0u);
 }
 
 TEST(HmcDevice, BaseSchemePrefetchesAcrossVaults) {
@@ -154,8 +153,9 @@ TEST(HmcDevice, BaseSchemePrefetchesAcrossVaults) {
     h.host->read((x % (u64{1} << 30)) & ~u64{63}, 0, nullptr);
   }
   h.sim.run();
-  EXPECT_GT(h.host->device().total_prefetches(), 100u);
-  EXPECT_EQ(h.host->device().total_row_conflicts(), 0u);
+  const DeviceTotals t = h.host->device().totals();
+  EXPECT_GT(t.prefetches, 100u);
+  EXPECT_EQ(t.row_conflicts, 0u);
 }
 
 TEST(HmcDevice, ConflictRateComputedOverAllOutcomes) {
@@ -173,7 +173,7 @@ TEST(HmcDevice, ConflictRateComputedOverAllOutcomes) {
                       [&h, addr] { h.host->read(addr, 0, nullptr); });
   }
   h.sim.run();
-  const double rate = h.host->device().row_conflict_rate();
+  const double rate = h.host->device().totals().row_conflict_rate();
   EXPECT_GT(rate, 0.5);
   EXPECT_LE(rate, 1.0);
 }

@@ -14,6 +14,7 @@ namespace {
 
 struct Harness {
   sim::Simulator sim;
+  StatRegistry stats;
   std::vector<std::pair<u64, Tick>> responses;  // (request id, ready tick)
   std::unique_ptr<VaultController> vault;
   u64 next_id = 1;
@@ -26,7 +27,7 @@ struct Harness {
     cfg.refresh_enabled = refresh;
     cfg.page_policy = policy;
     vault = std::make_unique<VaultController>(
-        sim, 0, cfg, prefetch::make_scheme(scheme, params), nullptr, nullptr,
+        sim, 0, cfg, prefetch::make_scheme(scheme, params), nullptr, stats,
         [this](const MemRequest& req, Tick ready) {
           responses.emplace_back(req.id, ready);
         });

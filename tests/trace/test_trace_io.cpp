@@ -7,12 +7,14 @@
 #include <string>
 #include <vector>
 
+#include "temp_path.hpp"
+
 namespace camps::trace {
 namespace {
 
 class TraceIoTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/camps_trace_test.ctrc";
+  std::string path_ = test_temp_path(".ctrc");
   void TearDown() override { std::remove(path_.c_str()); }
 };
 
