@@ -23,8 +23,6 @@ shift || true
         "$b" --benchmark_min_time=0.05
     elif [ "$name" = bench_micro_event_queue ]; then
       "$b" --events=5000000
-    elif [ "$name" = bench_micro_vault_wake ]; then
-      "$b"
     else
       "$b" --quiet "$@"
     fi

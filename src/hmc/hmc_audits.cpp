@@ -21,7 +21,12 @@ void hmc::HostController::audit(check::AuditReporter& rep) const {
   {
     const check::AuditScope scope(rep, "host");
     const u32 retry_budget = device_.config().fault.host_retry_budget;
-    size_t timers_referenced = 0;
+    // Every outstanding read's timeout is still queued exactly when fault
+    // recovery is active: a fired or cancelled timer on a live read would
+    // leave it to hang, and an answered read's timer is cancelled, not
+    // left to fire on a dangling id.
+    const bool recovery = device_.fault_plan() != nullptr &&
+                          device_.config().fault.host_timeout_ticks > 0;
     for (const auto& [id, p] : outstanding_) {
       rep.expect(id != 0 && id < next_id_, "host-id-range",
                  "outstanding request id " + std::to_string(id) +
@@ -37,20 +42,12 @@ void hmc::HostController::audit(check::AuditReporter& rep) const {
                  "outstanding read " + std::to_string(id) + " is on attempt " +
                      std::to_string(p.attempt) + " with a retry budget of " +
                      std::to_string(retry_budget));
-      rep.expect(p.timer != 0 || device_.fault_plan() == nullptr ||
-                     device_.config().fault.host_timeout_ticks == 0,
-                 "host-timer-armed",
+      rep.expect(sim_.queue().pending(p.timer) == recovery, "host-timer-leak",
                  "outstanding read " + std::to_string(id) +
-                     " has no timeout armed while fault recovery is active");
-      if (p.timer != 0) ++timers_referenced;
+                     (recovery ? " has no timeout pending in the event queue"
+                               : " holds a pending timeout while fault "
+                                 "recovery is off"));
     }
-    // Every live timer belongs to an outstanding request; a timer that
-    // outlives its request would fire on a dangling id.
-    rep.expect(timeouts_.pending() <= timers_referenced, "host-timer-leak",
-               std::to_string(timeouts_.pending()) +
-                   " timers pending for " +
-                   std::to_string(timers_referenced) +
-                   " timer-bearing outstanding reads");
   }
   device_.audit(rep);
 }
@@ -104,6 +101,23 @@ void hmc::VaultController::audit(check::AuditReporter& rep) const {
     rep.expect(a.bank < cfg_.banks, "vault-action-bank",
                "prefetch action targets bank " + std::to_string(a.bank) +
                    " of " + std::to_string(cfg_.banks));
+  }
+
+  // Wake bookkeeping: the live wake has a queued event to fire it, and the
+  // recorded event ticks are distinct and not in the past.
+  const auto& ticks = wake_event_ticks_;
+  rep.expect(!wake_scheduled_ || std::find(ticks.begin(), ticks.end(),
+                                           next_wake_tick_) != ticks.end(),
+             "vault-wake-event",
+             "wake armed for tick " + std::to_string(next_wake_tick_) +
+                 " has no queued event");
+  for (size_t i = 0; i < ticks.size(); ++i) {
+    rep.expect(ticks[i] >= sim_.now() &&
+                   std::find(ticks.begin(), ticks.begin() + i, ticks[i]) ==
+                       ticks.begin() + i,
+               "vault-wake-event",
+               "wake event tick " + std::to_string(ticks[i]) +
+                   " is in the past or recorded twice");
   }
 
   // Open-row reference bitmaps stay confined to the row's line count.

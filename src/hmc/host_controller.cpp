@@ -21,7 +21,6 @@ HostController::HostController(sim::Simulator& sim, const HmcConfig& config,
       device_(sim, config, scheme, params, checked(stats),
               [this](const MemRequest& req) { deliver(req); }, trace),
       trace_(trace),
-      timeouts_(sim),
       h_lat_total_read_(stats->histogram("latency.total_read_cycles")) {}
 
 u64 HostController::read(Addr addr, CoreId core, CompletionFn on_done) {
@@ -62,7 +61,7 @@ u64 HostController::write(Addr addr, CoreId core) {
 void HostController::arm_timeout(u64 id, Tick delay) {
   const auto it = outstanding_.find(id);
   CAMPS_ASSERT(it != outstanding_.end());
-  it->second.timer = timeouts_.arm(delay, [this, id] { on_timeout(id); });
+  it->second.timer = sim_.schedule(delay, [this, id] { on_timeout(id); });
 }
 
 void HostController::on_timeout(u64 id) {
@@ -73,7 +72,6 @@ void HostController::on_timeout(u64 id) {
   const auto& fault_cfg = device_.config().fault;
   Pending pending = std::move(it->second);
   outstanding_.erase(it);
-  pending.timer = 0;
   if (pending.attempt > fault_cfg.host_retry_budget) {
     // Retry budget exhausted: complete the request poisoned so the core
     // can account the loss instead of stalling forever.
@@ -136,7 +134,7 @@ void HostController::deliver(const MemRequest& request) {
     CAMPS_ASSERT_MSG(false, "response for unknown request");
   }
   Pending& pending = it->second;
-  if (pending.timer != 0) timeouts_.cancel(pending.timer);
+  sim_.cancel(pending.timer);
   const u64 cycles =
       (sim_.now() - pending.first_created) / sim::kCpuTicksPerCycle;
   h_lat_total_read_.sample(cycles);

@@ -6,19 +6,20 @@
 // delivery) — the raw material of the paper's AMAT metric (Fig. 8).
 //
 // Fault recovery: when the device carries a FaultPlan, every read arms a
-// timeout. A read that times out is re-issued under a fresh id after a
-// linear backoff; one that exhausts the retry budget completes poisoned
-// (MemRequest::poisoned) so the core side can account the loss instead of
-// hanging. Responses to superseded ids are counted, not delivered. None of
-// this machinery exists at runtime when faults are disabled — no timer
-// events, no extra state — preserving byte-identical fault-free runs.
+// timeout event; its response cancels the event, so answered reads leave
+// nothing in the event queue. A read that times out is re-issued under a
+// fresh id after a linear backoff; one that exhausts the retry budget
+// completes poisoned (MemRequest::poisoned) so the core side can account
+// the loss instead of hanging. Responses to superseded ids are counted, not
+// delivered. None of this machinery exists at runtime when faults are
+// disabled — no timer events, no extra state — preserving byte-identical
+// fault-free runs.
 #pragma once
 
 #include <functional>
 #include <unordered_map>
 
 #include "hmc/hmc_device.hpp"
-#include "sim/timeout.hpp"
 
 namespace camps::hmc {
 
@@ -81,7 +82,7 @@ class HostController final {
     CoreId core = 0;
     Tick first_created = 0;  ///< Original issue; latency baseline.
     u32 attempt = 1;
-    sim::TimeoutScheduler::Handle timer = 0;  ///< 0: no timer armed.
+    sim::EventHandle timer;  ///< The timeout event; names nothing if none.
   };
 
   void deliver(const MemRequest& request);
@@ -96,7 +97,6 @@ class HostController final {
   // Keyed lookup/erase only — never iterated for ordered output, so the
   // unspecified iteration order cannot leak into results.
   std::unordered_map<u64, Pending> outstanding_;  // camps-lint: allow(determinism)
-  sim::TimeoutScheduler timeouts_;
   /// Round-trip latency of every completed read, CPU cycles.
   Histogram& h_lat_total_read_;
   u64 next_id_ = 1;

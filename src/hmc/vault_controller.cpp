@@ -129,7 +129,20 @@ void VaultController::schedule_wake_at_cycle(u64 cycle) {
   if (wake_scheduled_ && when >= next_wake_tick_) return;
   wake_scheduled_ = true;
   next_wake_tick_ = when;
+  // One event per tick: an event already pending at `when` (superseded
+  // earlier, current again now) serves this arm from the queue position it
+  // already holds, which is where the oldest of several same-tick events —
+  // the only one that would act — fires anyway.
+  if (std::find(wake_event_ticks_.begin(), wake_event_ticks_.end(), when) !=
+      wake_event_ticks_.end()) {
+    return;
+  }
+  wake_event_ticks_.push_back(when);
   sim_.schedule_at(when, [this, when] {
+    const auto it =
+        std::find(wake_event_ticks_.begin(), wake_event_ticks_.end(), when);
+    *it = wake_event_ticks_.back();
+    wake_event_ticks_.pop_back();
     if (!wake_scheduled_ || when != next_wake_tick_) return;  // superseded
     wake_scheduled_ = false;
     wake();
@@ -375,15 +388,21 @@ bool VaultController::issue_demand_column(u64 cycle) {
   auto& queue = draining_writes_ ? wrq_ : rdq_;
   if (queue.empty()) return false;
 
-  // Re-check the prefetch buffer: rows may have landed since enqueue.
-  for (auto it = queue.begin(); it != queue.end();) {
-    if (serve_from_buffer(*it, cycle, /*count_miss=*/false)) {
-      it = queue.erase(it);
-    } else {
-      ++it;
+  // Re-check the prefetch buffer, but only if a row landed since this
+  // queue's last scan: entries enter the queue only after missing the
+  // buffer (admit_ingress), so without a fill nothing new can hit.
+  u64& scanned = draining_writes_ ? wrq_scanned_fills_ : rdq_scanned_fills_;
+  if (scanned != buffer_fills_) {
+    scanned = buffer_fills_;
+    for (auto it = queue.begin(); it != queue.end();) {
+      if (serve_from_buffer(*it, cycle, /*count_miss=*/false)) {
+        it = queue.erase(it);
+      } else {
+        ++it;
+      }
     }
+    if (queue.empty()) return false;
   }
-  if (queue.empty()) return false;
 
   const auto& t = cfg_.timing;
 
@@ -528,6 +547,7 @@ void VaultController::complete_fetch(BankId bank, RowId row,
   const auto result =
       buffer_.insert(BankRow{bank, row}, seed_bitmap, issue_cycle);
   if (!result.inserted) return;
+  ++buffer_fills_;
   c_prefetch_.inc();
   if (result.victim) {
     scheme_->on_prefetch_evicted(result.victim->id, result.victim->referenced);

@@ -225,6 +225,15 @@ class VaultController final {
   bool refresh_draining_ = false;
   bool wake_scheduled_ = false;
   Tick next_wake_tick_ = 0;  ///< Earliest pending wake; later ones are stale.
+  /// Ticks of this vault's queued wake events, live or superseded, one
+  /// event per tick (usually at most two: the next wake and a parked
+  /// refresh deadline).
+  std::vector<Tick> wake_event_ticks_;
+  /// Rows inserted into the prefetch buffer, and the count at each demand
+  /// queue's last buffer re-scan.
+  u64 buffer_fills_ = 0;
+  u64 rdq_scanned_fills_ = 0;
+  u64 wrq_scanned_fills_ = 0;
   u64 inflight_ = 0;  ///< Reads issued to DRAM whose data is still in flight.
 
   // Statistics. Counts with a registry entry live only there.

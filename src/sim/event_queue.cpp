@@ -1,14 +1,10 @@
 #include "sim/event_queue.hpp"
 
-#include <algorithm>
-#include <set>
-#include <string>
-
 #include "common/assert.hpp"
 
 namespace camps::sim {
 
-void EventQueue::schedule(Tick when, EventFn fn) {
+EventHandle EventQueue::schedule(Tick when, EventFn fn) {
   u32 slot;
   if (!free_.empty()) {
     slot = free_.back();
@@ -17,9 +13,17 @@ void EventQueue::schedule(Tick when, EventFn fn) {
   } else {
     slot = static_cast<u32>(slab_.size());
     slab_.push_back(std::move(fn));
+    meta_.push_back(SlotMeta{0, 0});
   }
   heap_.push_back(HeapEntry{when, next_seq_++, slot});
   sift_up(heap_.size() - 1);
+  return EventHandle{slot, meta_[slot].generation};
+}
+
+bool EventQueue::cancel(EventHandle handle) {
+  if (!pending(handle)) return false;
+  release(remove_at(meta_[handle.slot].heap_index));
+  return true;
 }
 
 Tick EventQueue::next_time() const {
@@ -31,17 +35,33 @@ std::pair<Tick, EventFn> EventQueue::pop() {
   CAMPS_ASSERT(!heap_.empty());
   const HeapEntry top = heap_.front();
   std::pair<Tick, EventFn> out{top.when, std::move(slab_[top.slot])};
-  heap_.front() = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
-  free_.push_back(top.slot);
+  release(remove_at(0));
   return out;
 }
 
 void EventQueue::clear() {
+  for (const HeapEntry& entry : heap_) release(entry.slot);
   heap_.clear();
-  slab_.clear();
-  free_.clear();
+}
+
+u32 EventQueue::remove_at(size_t i) {
+  const u32 slot = heap_[i].slot;
+  heap_[i] = heap_.back();
+  heap_.pop_back();
+  if (i < heap_.size()) {
+    if (i > 0 && earlier(heap_[i], heap_[(i - 1) / 2])) {
+      sift_up(i);
+    } else {
+      sift_down(i);
+    }
+  }
+  return slot;
+}
+
+void EventQueue::release(u32 slot) {
+  slab_[slot].reset();
+  ++meta_[slot].generation;
+  free_.push_back(slot);
 }
 
 void EventQueue::sift_up(size_t i) {
@@ -49,10 +69,10 @@ void EventQueue::sift_up(size_t i) {
   while (i > 0) {
     const size_t parent = (i - 1) / 2;
     if (!earlier(entry, heap_[parent])) break;
-    heap_[i] = heap_[parent];
+    place(i, heap_[parent]);
     i = parent;
   }
-  heap_[i] = entry;
+  place(i, entry);
 }
 
 void EventQueue::sift_down(size_t i) {
@@ -64,10 +84,10 @@ void EventQueue::sift_down(size_t i) {
     const size_t right = child + 1;
     if (right < n && earlier(heap_[right], heap_[child])) child = right;
     if (!earlier(heap_[child], entry)) break;
-    heap_[i] = heap_[child];
+    place(i, heap_[child]);
     i = child;
   }
-  heap_[i] = entry;
+  place(i, entry);
 }
 
 }  // namespace camps::sim

@@ -1,4 +1,4 @@
-// Discrete-event priority queue.
+// Discrete-event priority queue with cancellable handles.
 //
 // Events at equal ticks execute in insertion order (a monotone sequence
 // number breaks heap ties), which makes whole-system runs bit-for-bit
@@ -14,7 +14,18 @@
 //    (when, seq, slot) entries while the ~100-byte Event payloads sit in a
 //    slab addressed by slot. Sifts compare and move 24-byte POD entries in
 //    one contiguous array — no payload moves, no slab pointer chasing — and
-//    popped slots are recycled through a free list.
+//    freed slots are recycled through a free list.
+//
+// Removal: schedule() returns an EventHandle {slot, generation}. The sift
+// loops keep a slot -> heap-position table, so cancel() finds the entry in
+// O(1), fills the hole with the last heap entry and sifts that entry into
+// place: a cancelled event leaves nothing behind. Every slot carries a
+// generation that is bumped whenever its event fires, is cancelled or is
+// cleared, so a handle goes stale the moment its event is gone; cancelling
+// a stale handle is a no-op even after the slot has been recycled.
+// Cancellation never renumbers the surviving events, so their (when, seq)
+// order is exactly what it would have been had the cancelled event fired
+// as a no-op.
 #pragma once
 
 #include <atomic>
@@ -151,11 +162,30 @@ class Event {
 
 using EventFn = Event;
 
+/// Names one scheduled event. Default-constructed handles name nothing.
+struct EventHandle {
+  u32 slot = ~u32{0};
+  u32 generation = 0;
+};
+
 class EventQueue final {
  public:
   /// Schedules `fn` to run at absolute time `when`. `when` must not precede
   /// the time of the most recently popped event.
-  void schedule(Tick when, EventFn fn);
+  EventHandle schedule(Tick when, EventFn fn);
+
+  /// Removes the event `handle` names without running it. Returns false,
+  /// and changes nothing, if the handle is stale: its event already fired
+  /// or was cancelled (the slot may since hold an unrelated event).
+  bool cancel(EventHandle handle);
+
+  /// True while the event `handle` names is still queued. A slot's
+  /// generation moves on the moment its event leaves the queue, so a match
+  /// means the slot still holds this handle's event.
+  bool pending(EventHandle handle) const {
+    return handle.slot < meta_.size() &&
+           meta_[handle.slot].generation == handle.generation;
+  }
 
   bool empty() const { return heap_.empty(); }
   size_t size() const { return heap_.size(); }
@@ -174,7 +204,10 @@ class EventQueue final {
   /// Invariants: the heap is a valid min-heap over (when, seq); the in-heap
   /// slots and the free list exactly partition the slab; every in-heap slot
   /// holds a live event and every free slot an empty one; sequence numbers
-  /// are distinct and below next_seq_.
+  /// are distinct and below next_seq_; the slot -> heap-position table
+  /// points each queued slot at its own heap entry; and every slot's
+  /// generation counts the events it has retired, so the generations plus
+  /// the queued events total every event ever scheduled.
   void audit(check::AuditReporter& reporter) const;
 
  private:
@@ -194,10 +227,27 @@ class EventQueue final {
     return a.seq < b.seq;
   }
 
+  /// Per-slot bookkeeping, parallel to slab_.
+  struct SlotMeta {
+    u32 heap_index;  ///< Position in heap_ while the slot is queued.
+    u32 generation;  ///< Events this slot has retired (fired or cancelled).
+  };
+
+  /// Stores `entry` at heap position `i` and records the position.
+  void place(size_t i, const HeapEntry& entry) {
+    heap_[i] = entry;
+    meta_[entry.slot].heap_index = static_cast<u32>(i);
+  }
   void sift_up(size_t i);
   void sift_down(size_t i);
+  /// Removes heap_[i] and returns its slot, restoring the heap shape.
+  u32 remove_at(size_t i);
+  /// Retires a slot whose event has left the heap: the payload is already
+  /// moved out or destroyed, outstanding handles go stale.
+  void release(u32 slot);
 
   std::vector<Event> slab_;      ///< Payloads, addressed by HeapEntry::slot.
+  std::vector<SlotMeta> meta_;   ///< Parallel to slab_.
   std::vector<HeapEntry> heap_;  ///< Min-heap keyed (when, seq).
   std::vector<u32> free_;        ///< Recycled slab slots.
   u64 next_seq_ = 0;

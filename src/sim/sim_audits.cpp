@@ -56,6 +56,32 @@ void sim::EventQueue::audit(check::AuditReporter& rep) const {
                "sequence number " + std::to_string(entry.seq) +
                    " appears twice (tie-break order would be ambiguous)");
   }
+  // Position table: parallel to the slab, each queued slot pointing at its
+  // own heap entry (a stale position would make cancel() remove the wrong
+  // event).
+  rep.expect(meta_.size() == slab_.size(), "index-shape",
+             "position table covers " + std::to_string(meta_.size()) +
+                 " slots of a slab of " + std::to_string(slab_.size()));
+  for (size_t i = 0; i < heap_.size(); ++i) {
+    const u32 slot = heap_[i].slot;
+    if (slot >= meta_.size()) continue;  // reported above
+    rep.expect(meta_[slot].heap_index == i, "index-mismatch",
+               "slot " + std::to_string(slot) + " sits at heap[" +
+                   std::to_string(i) + "] but its position entry says " +
+                   std::to_string(meta_[slot].heap_index));
+  }
+  // Generations: each slot's generation counts the events it retired, so
+  // they plus the queued events account for every event ever scheduled. A
+  // generation that failed to advance would let a stale handle cancel the
+  // event that recycled its slot.
+  u64 retired = 0;
+  for (const SlotMeta& m : meta_) retired += m.generation;
+  rep.expect(retired + heap_.size() == next_seq_, "generation-count",
+             "slot generations retire " + std::to_string(retired) +
+                 " events and " + std::to_string(heap_.size()) +
+                 " are queued, but " + std::to_string(next_seq_) +
+                 " were scheduled");
+
   for (const u32 slot : free_) {
     if (!rep.expect(slot < slab_.size(), "slot-range",
                     "free-list slot " + std::to_string(slot) +

@@ -1,19 +1,16 @@
 #include "sim/simulator.hpp"
 
-#include <functional>
-#include <string>
-
 #include "common/assert.hpp"
 
 namespace camps::sim {
 
-void Simulator::schedule(Tick delay, EventFn fn) {
-  queue_.schedule(now_ + delay, std::move(fn));
+EventHandle Simulator::schedule(Tick delay, EventFn fn) {
+  return queue_.schedule(now_ + delay, std::move(fn));
 }
 
-void Simulator::schedule_at(Tick when, EventFn fn) {
+EventHandle Simulator::schedule_at(Tick when, EventFn fn) {
   CAMPS_ASSERT_MSG(when >= now_, "cannot schedule into the past");
-  queue_.schedule(when, std::move(fn));
+  return queue_.schedule(when, std::move(fn));
 }
 
 u64 Simulator::run() {
@@ -30,14 +27,6 @@ u64 Simulator::run_until(Tick deadline) {
   }
   if (now_ < deadline) now_ = deadline;
   return n;
-}
-
-bool Simulator::run_while_pending(const std::function<bool()>& pred) {
-  while (!queue_.empty()) {
-    step();
-    if (pred()) return true;
-  }
-  return pred();
 }
 
 bool Simulator::step() {

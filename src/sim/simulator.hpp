@@ -1,7 +1,8 @@
 // The simulation executive: owns the event queue and the notion of "now".
 //
-// Components capture `Simulator&` and call schedule()/schedule_at(); the
-// system driver calls run() variants. Time only moves forward.
+// Components capture `Simulator&` and call schedule()/schedule_at(), keeping
+// the returned handle if they may need to cancel(); the system driver calls
+// run() variants. Time only moves forward.
 #pragma once
 
 #include <functional>
@@ -15,10 +16,14 @@ class Simulator final {
   Tick now() const { return now_; }
 
   /// Schedules `fn` to run `delay` ticks from now.
-  void schedule(Tick delay, EventFn fn);
+  EventHandle schedule(Tick delay, EventFn fn);
 
   /// Schedules `fn` at absolute tick `when`; must be >= now().
-  void schedule_at(Tick when, EventFn fn);
+  EventHandle schedule_at(Tick when, EventFn fn);
+
+  /// Removes a scheduled event without running it; false if it already
+  /// fired or was cancelled (see EventQueue::cancel).
+  bool cancel(EventHandle handle) { return queue_.cancel(handle); }
 
   /// Runs until the queue drains. Returns the number of events executed.
   u64 run();
@@ -29,7 +34,14 @@ class Simulator final {
 
   /// Runs until `pred()` becomes true (checked after every event) or the
   /// queue drains. Returns true if the predicate fired.
-  bool run_while_pending(const std::function<bool()>& pred);
+  template <typename Pred>
+  bool run_while_pending(Pred&& pred) {
+    while (!queue_.empty()) {
+      step();
+      if (pred()) return true;
+    }
+    return pred();
+  }
 
   /// Executes exactly one event, if any. Returns false if queue was empty.
   bool step();

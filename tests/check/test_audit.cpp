@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cache/mshr.hpp"
 #include "check/audit.hpp"
@@ -49,6 +51,13 @@ struct TestCorruptor {
   static void unbalance_bank_counters(dram::Bank& bank) { ++bank.n_pre_; }
   static void delay_heap_root(sim::EventQueue& queue) {
     queue.heap_.front().when += Tick{1} << 40;
+  }
+  static void misplace_heap_index(sim::EventQueue& queue) {
+    std::swap(queue.meta_[queue.heap_[1].slot].heap_index,
+              queue.meta_[queue.heap_[2].slot].heap_index);
+  }
+  static void rewind_generation(sim::EventQueue& queue, u32 slot) {
+    --queue.meta_[slot].generation;
   }
   static void cross_rut_ct(prefetch::CampsScheme& scheme, BankId bank,
                            RowId row) {
@@ -111,6 +120,20 @@ TEST(CleanAudit, EventQueueAfterMixedTraffic) {
   q.audit(rep);
   EXPECT_TRUE(rep.clean()) << rep.report();
   EXPECT_GT(rep.checks_run(), 0u);
+}
+
+TEST(CleanAudit, EventQueueAfterCancellations) {
+  sim::EventQueue q;
+  std::vector<sim::EventHandle> handles;
+  for (int i = 0; i < 32; ++i) {
+    handles.push_back(q.schedule(static_cast<Tick>((i * 7) % 19), [] {}));
+  }
+  for (int i = 0; i < 32; i += 3) q.cancel(handles[i]);
+  for (int i = 0; i < 4; ++i) q.pop();
+  for (int i = 0; i < 6; ++i) q.schedule(40 + i, [] {});
+  AuditReporter rep;
+  q.audit(rep);
+  EXPECT_TRUE(rep.clean()) << rep.report();
 }
 
 TEST(CleanAudit, BankThroughLegalCommandSequence) {
@@ -231,6 +254,26 @@ TEST(CorruptionAudit, EventQueueHeapOrderBroken) {
   AuditReporter rep;
   q.audit(rep);
   EXPECT_TRUE(reports(rep, "heap-order")) << rep.report();
+}
+
+TEST(CorruptionAudit, EventQueuePositionTableCorrupted) {
+  sim::EventQueue q;
+  for (int i = 0; i < 8; ++i) q.schedule(10 + i, [] {});
+  TestCorruptor::misplace_heap_index(q);
+  AuditReporter rep;
+  q.audit(rep);
+  EXPECT_TRUE(reports(rep, "index-mismatch")) << rep.report();
+}
+
+TEST(CorruptionAudit, EventQueueGenerationNotAdvanced) {
+  sim::EventQueue q;
+  const sim::EventHandle h = q.schedule(10, [] {});
+  q.schedule(20, [] {});
+  q.cancel(h);
+  TestCorruptor::rewind_generation(q, h.slot);
+  AuditReporter rep;
+  q.audit(rep);
+  EXPECT_TRUE(reports(rep, "generation-count")) << rep.report();
 }
 
 TEST(CorruptionAudit, RowProfiledInRutAndArchivedInCt) {

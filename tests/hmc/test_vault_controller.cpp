@@ -1,6 +1,8 @@
 // Vault controller: queues, FR-FCFS, prefetch engine integration, refresh.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <optional>
@@ -254,6 +256,28 @@ TEST(VaultController, RefreshHappensPeriodically) {
   h.run();
   for (u64 id : ids) EXPECT_TRUE(h.response_time(id));
   EXPECT_TRUE(h.vault->idle());
+}
+
+TEST(VaultController, IdleVaultKeepsOneWakeEventPerTick) {
+  // A vault parked at its refresh deadline re-parks there after serving
+  // each request. Every re-park targets the tick whose event is already
+  // queued, so the queue holds that one event instead of one per request.
+  Harness h(prefetch::SchemeKind::kNone, /*refresh=*/true);
+  constexpr int kRequests = 20;
+  const Tick spacing = 200 * kDram;  // each lone read drains well inside
+  ASSERT_LT(kRequests * spacing, dram::default_timing().tREFI * kDram)
+      << "all traffic must arrive before the parked refresh deadline";
+  size_t most_pending = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    const Tick at = static_cast<Tick>(i + 1) * spacing;
+    h.submit(static_cast<BankId>(i % 16), static_cast<RowId>(i), 0,
+             AccessType::kRead, at);
+    h.sim.run_until(at + spacing - kDram);
+    ASSERT_TRUE(h.vault->idle());
+    most_pending = std::max(most_pending, h.sim.queue().size());
+  }
+  EXPECT_LE(most_pending, 2u);
+  EXPECT_EQ(h.responses.size(), static_cast<size_t>(kRequests));
 }
 
 TEST(VaultController, StatsResetKeepsState) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -179,6 +180,151 @@ TEST(EventQueue, LargeRandomLoadStaysSorted) {
     EXPECT_GE(when, prev);
     prev = when;
   }
+}
+
+
+// --- cancellation ---------------------------------------------------------
+
+/// Schedules events 0..n-1 at ticks 10*(i+1) and records which ones ran.
+struct Recorder {
+  EventQueue q;
+  std::vector<int> ran;
+  std::vector<EventHandle> handles;
+
+  explicit Recorder(int n) {
+    for (int i = 0; i < n; ++i) {
+      handles.push_back(
+          q.schedule(static_cast<Tick>(10 * (i + 1)), [this, i] {
+            ran.push_back(i);
+          }));
+    }
+  }
+  void drain() {
+    while (!q.empty()) q.pop().second();
+  }
+};
+
+TEST(EventQueue, CancelTopMiddleAndLastEntries) {
+  Recorder r(9);
+  EXPECT_TRUE(r.q.cancel(r.handles[0]));  // heap root
+  EXPECT_TRUE(r.q.cancel(r.handles[4]));  // interior
+  EXPECT_TRUE(r.q.cancel(r.handles[8]));  // last heap slot
+  EXPECT_EQ(r.q.size(), 6u);
+  EXPECT_EQ(r.q.next_time(), 20u);
+  r.drain();
+  EXPECT_EQ(r.ran, (std::vector<int>{1, 2, 3, 5, 6, 7}));
+}
+
+TEST(EventQueue, CancelledEventNeverRuns) {
+  Recorder r(1);
+  EXPECT_TRUE(r.q.pending(r.handles[0]));
+  EXPECT_TRUE(r.q.cancel(r.handles[0]));
+  EXPECT_FALSE(r.q.pending(r.handles[0]));
+  EXPECT_TRUE(r.q.empty());
+  r.drain();
+  EXPECT_TRUE(r.ran.empty());
+}
+
+TEST(EventQueue, CancelledCaptureIsDestroyed) {
+  auto data = std::make_shared<int>(1);
+  EventQueue q;
+  const EventHandle h = q.schedule(5, [data] {});
+  EXPECT_EQ(data.use_count(), 2);
+  q.cancel(h);
+  EXPECT_EQ(data.use_count(), 1);
+}
+
+TEST(EventQueue, StaleHandleCancelIsANoOp) {
+  EventQueue q;
+  int fired = 0;
+  const EventHandle popped = q.schedule(1, [&fired] { ++fired; });
+  const EventHandle cancelled = q.schedule(2, [&fired] { ++fired; });
+  q.pop().second();
+  EXPECT_FALSE(q.pending(popped));
+  EXPECT_FALSE(q.cancel(popped)) << "fired events are stale";
+  EXPECT_TRUE(q.cancel(cancelled));
+  EXPECT_FALSE(q.cancel(cancelled)) << "double cancel";
+
+  // Both freed slots get recycled by the next events; the stale handles
+  // must leave those new occupants alone.
+  const EventHandle a = q.schedule(3, [&fired] { fired += 10; });
+  const EventHandle b = q.schedule(4, [&fired] { fired += 100; });
+  EXPECT_TRUE((a.slot == popped.slot || a.slot == cancelled.slot) &&
+              (b.slot == popped.slot || b.slot == cancelled.slot));
+  EXPECT_FALSE(q.cancel(popped));
+  EXPECT_FALSE(q.cancel(cancelled));
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_FALSE(q.cancel(EventHandle{})) << "a default handle names nothing";
+  while (!q.empty()) q.pop().second();
+  EXPECT_EQ(fired, 111) << "only the popped event and both new ones ran";
+}
+
+TEST(EventQueue, ClearMakesHandlesStale) {
+  EventQueue q;
+  const EventHandle h = q.schedule(7, [] {});
+  q.clear();
+  int fired = 0;
+  const EventHandle fresh = q.schedule(8, [&fired] { ++fired; });
+  EXPECT_EQ(fresh.slot, h.slot);
+  EXPECT_FALSE(q.cancel(h));
+  q.pop().second();
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(EventQueue, RandomScheduleCancelPopMatchesOrderedReference) {
+  // Reference model: a multimap keyed by (tick, insertion sequence), which
+  // is exactly the order the queue promises. Interleave schedules, cancels
+  // of random live or stale handles, and pops.
+  using Key = std::pair<Tick, u64>;
+  std::multimap<Key, u64> reference;  // -> event id
+  std::vector<std::pair<EventHandle, Key>> issued;
+  EventQueue q;
+  std::vector<u64> popped;
+  u64 x = 0x9e3779b97f4a7c15ULL;
+  auto next = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  Tick now = 0;
+  u64 seq = 0;
+  for (int step = 0; step < 20'000; ++step) {
+    const u64 r = next() % 10;
+    if (r < 5) {
+      const Tick when = now + next() % 64;
+      const u64 id = seq;
+      const Key key{when, seq++};
+      issued.emplace_back(q.schedule(when, [&popped, id] {
+                            popped.push_back(id);
+                          }),
+                          key);
+      reference.emplace(key, id);
+    } else if (r < 7 && !issued.empty()) {
+      const auto& [handle, key] = issued[next() % issued.size()];
+      const bool live = reference.count(key) != 0;
+      ASSERT_EQ(q.pending(handle), live);
+      ASSERT_EQ(q.cancel(handle), live);
+      reference.erase(key);
+    } else if (!q.empty()) {
+      ASSERT_FALSE(reference.empty());
+      const auto expected = reference.begin();
+      auto [when, fn] = q.pop();
+      ASSERT_EQ(when, expected->first.first);
+      fn();
+      ASSERT_EQ(popped.back(), expected->second);
+      reference.erase(expected);
+      now = when;
+    }
+    ASSERT_EQ(q.size(), reference.size());
+  }
+  while (!q.empty()) {
+    const auto expected = reference.begin();
+    q.pop().second();
+    ASSERT_EQ(popped.back(), expected->second);
+    reference.erase(expected);
+  }
+  EXPECT_TRUE(reference.empty());
 }
 
 }  // namespace

@@ -111,5 +111,16 @@ TEST(Simulator, ZeroDelayRunsAtCurrentTime) {
   EXPECT_EQ(sim.now(), 10u);
 }
 
+
+TEST(Simulator, CancelRemovesAPendingEvent) {
+  Simulator sim;
+  int fired = 0;
+  const EventHandle timer = sim.schedule(50, [&] { fired += 1; });
+  sim.schedule(10, [&] { EXPECT_TRUE(sim.cancel(timer)); });
+  EXPECT_EQ(sim.run(), 1u) << "a cancelled event is never executed";
+  EXPECT_EQ(fired, 0);
+  EXPECT_FALSE(sim.cancel(timer));
+}
+
 }  // namespace
 }  // namespace camps::sim
