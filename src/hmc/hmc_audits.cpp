@@ -103,21 +103,13 @@ void hmc::VaultController::audit(check::AuditReporter& rep) const {
                    " of " + std::to_string(cfg_.banks));
   }
 
-  // Wake bookkeeping: the live wake has a queued event to fire it, and the
-  // recorded event ticks are distinct and not in the past.
-  const auto& ticks = wake_event_ticks_;
-  rep.expect(!wake_scheduled_ || std::find(ticks.begin(), ticks.end(),
-                                           next_wake_tick_) != ticks.end(),
-             "vault-wake-event",
-             "wake armed for tick " + std::to_string(next_wake_tick_) +
-                 " has no queued event");
-  for (size_t i = 0; i < ticks.size(); ++i) {
-    rep.expect(ticks[i] >= sim_.now() &&
-                   std::find(ticks.begin(), ticks.begin() + i, ticks[i]) ==
-                       ticks.begin() + i,
-               "vault-wake-event",
-               "wake event tick " + std::to_string(ticks[i]) +
-                   " is in the past or recorded twice");
+  // A vault with work must have its wake queued, or the work would sit
+  // until an unrelated arrival happened to wake it.
+  const sim::EventQueue& queue = sim_.queue();
+  if (has_work()) {
+    rep.expect(queue.pending(wake_) && queue.time_of(wake_) >= sim_.now(),
+               "vault-wake-pending",
+               "work is queued but no wake event is pending");
   }
 
   // Open-row reference bitmaps stay confined to the row's line count.

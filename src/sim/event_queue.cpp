@@ -5,6 +5,17 @@
 namespace camps::sim {
 
 EventHandle EventQueue::schedule(Tick when, EventFn fn) {
+  return push(when, next_seq_, std::move(fn));
+}
+
+EventHandle EventQueue::schedule_late(Tick when, u32 unit, EventFn fn) {
+  CAMPS_ASSERT(unit < (u32{1} << kUnitBits));
+  const u64 key =
+      kLateBit | (u64{unit} << kSeqBits) | (next_seq_ & kSeqMask);
+  return push(when, key, std::move(fn));
+}
+
+EventHandle EventQueue::push(Tick when, u64 key, EventFn fn) {
   u32 slot;
   if (!free_.empty()) {
     slot = free_.back();
@@ -15,7 +26,8 @@ EventHandle EventQueue::schedule(Tick when, EventFn fn) {
     slab_.push_back(std::move(fn));
     meta_.push_back(SlotMeta{0, 0});
   }
-  heap_.push_back(HeapEntry{when, next_seq_++, slot});
+  ++next_seq_;
+  heap_.push_back(HeapEntry{when, key, slot});
   sift_up(heap_.size() - 1);
   return EventHandle{slot, meta_[slot].generation};
 }

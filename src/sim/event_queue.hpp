@@ -1,8 +1,14 @@
 // Discrete-event priority queue with cancellable handles.
 //
-// Events at equal ticks execute in insertion order (a monotone sequence
-// number breaks heap ties), which makes whole-system runs bit-for-bit
-// deterministic regardless of heap internals.
+// Each tick runs in two phases. Ordinary events (schedule()) run first, in
+// insertion order (a monotone sequence number breaks heap ties). Late
+// events (schedule_late()) run after every ordinary event of their tick,
+// among themselves in ascending `unit` order, whenever they were scheduled.
+// Both orders are independent of heap internals, so whole-system runs are
+// bit-for-bit deterministic; and a late event's place within its tick
+// depends only on (tick, unit), so moving one with cancel() +
+// schedule_late() never reorders anything else. The vault controllers'
+// wake-ups are late events keyed by vault id (docs/simulation-model.md).
 //
 // Two hot-path design choices (see bench/micro_event_queue.cpp):
 //  * Event is a small-buffer-optimized functor: captures up to
@@ -23,7 +29,7 @@
 // generation that is bumped whenever its event fires, is cancelled or is
 // cleared, so a handle goes stale the moment its event is gone; cancelling
 // a stale handle is a no-op even after the slot has been recycled.
-// Cancellation never renumbers the surviving events, so their (when, seq)
+// Cancellation never renumbers the surviving events, so their (when, key)
 // order is exactly what it would have been had the cancelled event fired
 // as a no-op.
 #pragma once
@@ -174,6 +180,14 @@ class EventQueue final {
   /// the time of the most recently popped event.
   EventHandle schedule(Tick when, EventFn fn);
 
+  /// Schedules `fn` in the late phase of tick `when`: after every ordinary
+  /// event of that tick (also ones scheduled later), and among late events
+  /// of the tick in ascending `unit` order, then insertion order. `unit`
+  /// must be below 2^kUnitBits. A late event that schedules another at its
+  /// own tick sees it run next, so the unit order holds for late events
+  /// scheduled before their tick's late phase begins.
+  EventHandle schedule_late(Tick when, u32 unit, EventFn fn);
+
   /// Removes the event `handle` names without running it. Returns false,
   /// and changes nothing, if the handle is stale: its event already fired
   /// or was cancelled (the slot may since hold an unrelated event).
@@ -185,6 +199,11 @@ class EventQueue final {
   bool pending(EventHandle handle) const {
     return handle.slot < meta_.size() &&
            meta_[handle.slot].generation == handle.generation;
+  }
+
+  /// Tick at which the event `handle` names will run. Requires pending().
+  Tick time_of(EventHandle handle) const {
+    return heap_[meta_[handle.slot].heap_index].when;
   }
 
   bool empty() const { return heap_.empty(); }
@@ -201,7 +220,10 @@ class EventQueue final {
 
   void clear();
 
-  /// Invariants: the heap is a valid min-heap over (when, seq); the in-heap
+  /// Late events' `unit` field width (see schedule_late()).
+  static constexpr u32 kUnitBits = 23;
+
+  /// Invariants: the heap is a valid min-heap over (when, key); the in-heap
   /// slots and the free list exactly partition the slab; every in-heap slot
   /// holds a live event and every free slot an empty one; sequence numbers
   /// are distinct and below next_seq_; the slot -> heap-position table
@@ -216,16 +238,34 @@ class EventQueue final {
   /// Heap node: the full sort key plus the slab slot of the payload. Keeping
   /// the key here (instead of dereferencing the slab in the comparator) keeps
   /// sift traffic inside one contiguous, trivially-movable array.
+  ///
+  /// `seq` is an ordinary event's sequence number. A late event sets
+  /// kLateBit, puts its unit in the kUnitBits below it and keeps the low
+  /// kSeqBits of its sequence number, so one integer compare orders a tick
+  /// as ordinary events by sequence, then late events by (unit, sequence).
   struct HeapEntry {
     Tick when;
     u64 seq;
     u32 slot;
   };
 
+  static constexpr u32 kSeqBits = 40;
+  static constexpr u64 kLateBit = u64{1} << 63;
+  static constexpr u64 kSeqMask = (u64{1} << kSeqBits) - 1;
+  static_assert(kSeqBits + kUnitBits == 63);
+
+  /// The sequence number a heap key was built from.
+  static u64 sequence_of(u64 key) {
+    return (key & kLateBit) != 0 ? key & kSeqMask : key;
+  }
+
   static bool earlier(const HeapEntry& a, const HeapEntry& b) {
     if (a.when != b.when) return a.when < b.when;
     return a.seq < b.seq;
   }
+
+  /// Stores `fn` in a slot and queues it under key (when, key).
+  EventHandle push(Tick when, u64 key, EventFn fn);
 
   /// Per-slot bookkeeping, parallel to slab_.
   struct SlotMeta {

@@ -49,11 +49,12 @@ void sim::EventQueue::audit(check::AuditReporter& rep) const {
     rep.expect(static_cast<bool>(slab_[entry.slot]), "slot-live",
                "in-heap slot " + std::to_string(entry.slot) +
                    " holds an empty event");
-    rep.expect(entry.seq < next_seq_, "seq-range",
-               "heap seq " + std::to_string(entry.seq) +
-                   " >= next_seq " + std::to_string(next_seq_));
-    rep.expect(seen_seqs.insert(entry.seq).second, "seq-duplicate",
-               "sequence number " + std::to_string(entry.seq) +
+    const u64 seq = sequence_of(entry.seq);
+    rep.expect(seq < next_seq_, "seq-range",
+               "heap seq " + std::to_string(seq) + " >= next_seq " +
+                   std::to_string(next_seq_));
+    rep.expect(seen_seqs.insert(seq).second, "seq-duplicate",
+               "sequence number " + std::to_string(seq) +
                    " appears twice (tie-break order would be ambiguous)");
   }
   // Position table: parallel to the slab, each queued slot pointing at its

@@ -13,6 +13,11 @@ EventHandle Simulator::schedule_at(Tick when, EventFn fn) {
   return queue_.schedule(when, std::move(fn));
 }
 
+EventHandle Simulator::schedule_late_at(Tick when, u32 unit, EventFn fn) {
+  CAMPS_ASSERT_MSG(when >= now_, "cannot schedule into the past");
+  return queue_.schedule_late(when, unit, std::move(fn));
+}
+
 u64 Simulator::run() {
   u64 n = 0;
   while (step()) ++n;

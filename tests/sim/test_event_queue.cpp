@@ -4,6 +4,7 @@
 
 #include <map>
 #include <memory>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -91,6 +92,52 @@ TEST(EventQueue, TiesStayFifoAcrossSlotRecycling) {
   while (!q.empty()) q.pop().second();
   for (int i = 0; i < 16; ++i) expected.push_back(i);
   EXPECT_EQ(order, expected);
+}
+
+TEST(EventQueue, LateEventsRunAfterOrdinaryOnesOfTheirTick) {
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule_late(10, 0, [&] { order.push_back(100); });
+  q.schedule(10, [&] { order.push_back(1); });
+  q.schedule(11, [&] { order.push_back(11); });
+  q.schedule(10, [&] { order.push_back(2); });  // scheduled after the late one
+  while (!q.empty()) q.pop().second();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 100, 11}));
+}
+
+TEST(EventQueue, LateEventsRunInUnitOrderWhateverTheSchedulingOrder) {
+  EventQueue q;
+  std::vector<u32> order;
+  for (const u32 unit : {7u, 2u, 31u, 0u, 5u}) {
+    q.schedule_late(40, unit, [&order, unit] { order.push_back(unit); });
+  }
+  while (!q.empty()) q.pop().second();
+  EXPECT_EQ(order, (std::vector<u32>{0, 2, 5, 7, 31}));
+}
+
+TEST(EventQueue, RescheduledLateEventKeepsItsPlace) {
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule_late(20, 1, [&] { order.push_back(1); });
+  EventHandle h = q.schedule_late(20, 2, [&] { order.push_back(2); });
+  q.schedule_late(20, 3, [&] { order.push_back(3); });
+  ASSERT_TRUE(q.cancel(h));
+  h = q.schedule_late(20, 2, [&] { order.push_back(2); });
+  EXPECT_EQ(q.time_of(h), 20u);
+  while (!q.empty()) q.pop().second();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(EventQueue, TimeOfReportsAPendingEventsTick) {
+  EventQueue q;
+  const EventHandle a = q.schedule(30, [] {});
+  const EventHandle b = q.schedule_late(12, 4, [] {});
+  q.schedule(5, [] {});
+  EXPECT_EQ(q.time_of(a), 30u);
+  EXPECT_EQ(q.time_of(b), 12u);
+  q.pop();  // moves both entries within the heap
+  EXPECT_EQ(q.time_of(a), 30u);
+  EXPECT_EQ(q.time_of(b), 12u);
 }
 
 TEST(Event, SmallCaptureStaysInline) {
@@ -272,10 +319,12 @@ TEST(EventQueue, ClearMakesHandlesStale) {
 }
 
 TEST(EventQueue, RandomScheduleCancelPopMatchesOrderedReference) {
-  // Reference model: a multimap keyed by (tick, insertion sequence), which
-  // is exactly the order the queue promises. Interleave schedules, cancels
-  // of random live or stale handles, and pops.
-  using Key = std::pair<Tick, u64>;
+  // Reference model: a multimap keyed by (tick, phase, unit, insertion
+  // sequence), which is exactly the order the queue promises: ordinary
+  // events (phase 0, unit 0) by sequence, then late events (phase 1) by
+  // unit and sequence. Interleave schedules of both kinds, cancels of
+  // random live or stale handles, and pops.
+  using Key = std::tuple<Tick, int, u32, u64>;
   std::multimap<Key, u64> reference;  // -> event id
   std::vector<std::pair<EventHandle, Key>> issued;
   EventQueue q;
@@ -294,23 +343,31 @@ TEST(EventQueue, RandomScheduleCancelPopMatchesOrderedReference) {
     if (r < 5) {
       const Tick when = now + next() % 64;
       const u64 id = seq;
-      const Key key{when, seq++};
-      issued.emplace_back(q.schedule(when, [&popped, id] {
-                            popped.push_back(id);
-                          }),
-                          key);
-      reference.emplace(key, id);
+      auto record = [&popped, id] { popped.push_back(id); };
+      if (r < 2) {
+        const u32 unit = static_cast<u32>(next() % 40);
+        const Key key{when, 1, unit, seq++};
+        issued.emplace_back(q.schedule_late(when, unit, record), key);
+        reference.emplace(key, id);
+      } else {
+        const Key key{when, 0, 0, seq++};
+        issued.emplace_back(q.schedule(when, record), key);
+        reference.emplace(key, id);
+      }
     } else if (r < 7 && !issued.empty()) {
       const auto& [handle, key] = issued[next() % issued.size()];
       const bool live = reference.count(key) != 0;
       ASSERT_EQ(q.pending(handle), live);
+      if (live) {
+        ASSERT_EQ(q.time_of(handle), std::get<0>(key));
+      }
       ASSERT_EQ(q.cancel(handle), live);
       reference.erase(key);
     } else if (!q.empty()) {
       ASSERT_FALSE(reference.empty());
       const auto expected = reference.begin();
       auto [when, fn] = q.pop();
-      ASSERT_EQ(when, expected->first.first);
+      ASSERT_EQ(when, std::get<0>(expected->first));
       fn();
       ASSERT_EQ(popped.back(), expected->second);
       reference.erase(expected);

@@ -122,5 +122,18 @@ TEST(Simulator, CancelRemovesAPendingEvent) {
   EXPECT_FALSE(sim.cancel(timer));
 }
 
+TEST(Simulator, LateEventsRunAfterTheTicksOrdinaryEvents) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_late_at(10, 3, [&] { order.push_back(3); });
+  sim.schedule_late_at(10, 1, [&] { order.push_back(1); });
+  sim.schedule_at(5, [&] {
+    sim.schedule_at(10, [&] { order.push_back(0); });
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 3}));
+  EXPECT_EQ(sim.now(), 10u);
+}
+
 }  // namespace
 }  // namespace camps::sim
