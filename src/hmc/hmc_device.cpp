@@ -92,7 +92,7 @@ void HmcDevice::submit(const MemRequest& request, Tick now) {
   VaultController* vault = vaults_[decoded.vault].get();
   sim_.schedule_at(at_vault, [vault, request, decoded, at_vault] {
     vault->receive(request, decoded, at_vault);
-  });
+  }, sim::EventSource::kLink);
 }
 
 void HmcDevice::on_vault_response(const MemRequest& request, VaultId vault,
@@ -117,7 +117,8 @@ void HmcDevice::on_vault_response(const MemRequest& request, VaultId vault,
   if (xfer.dropped) return;  // response lost; host timeout recovers
   h_lat_link_up_.sample((xfer.deliver - xfer.start) / sim::kCpuTicksPerCycle);
   const Tick at_host = xfer.deliver;
-  sim_.schedule_at(at_host, [this, request] { deliver_(request); });
+  sim_.schedule_at(at_host, [this, request] { deliver_(request); },
+                   sim::EventSource::kLink);
 }
 
 void HmcDevice::note_vault_fault(VaultId vault) {

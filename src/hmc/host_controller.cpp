@@ -61,7 +61,8 @@ u64 HostController::write(Addr addr, CoreId core) {
 void HostController::arm_timeout(u64 id, Tick delay) {
   const auto it = outstanding_.find(id);
   CAMPS_ASSERT(it != outstanding_.end());
-  it->second.timer = sim_.schedule(delay, [this, id] { on_timeout(id); });
+  it->second.timer = sim_.schedule(delay, [this, id] { on_timeout(id); },
+                                   sim::EventSource::kHost);
 }
 
 void HostController::on_timeout(u64 id) {
@@ -118,7 +119,7 @@ void HostController::reissue(Pending pending, Tick backoff) {
     req.core = entry->second.core;
     req.created = sim_.now();
     device_.submit(req, sim_.now());
-  });
+  }, sim::EventSource::kHost);
 }
 
 void HostController::deliver(const MemRequest& request) {

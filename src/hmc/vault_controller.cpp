@@ -130,7 +130,8 @@ void VaultController::schedule_wake_at_cycle(u64 cycle) {
     if (sim_.queue().time_of(wake_) <= when) return;
     sim_.cancel(wake_);
   }
-  wake_ = sim_.schedule_late_at(when, id_, [this] { wake(); });
+  wake_ = sim_.schedule_late_at(when, sim::late_unit::vault(id_),
+                                [this] { wake(); }, sim::EventSource::kVault);
 }
 
 u64 VaultController::next_action_cycle(u64 cycle) const {
@@ -403,7 +404,7 @@ void VaultController::serve_via_fetch(const QueueEntry& entry, u64 cycle,
     // The demanded line is consumed out of the freshly landed row; it was
     // demanded, not prefetched, so it does not count toward usefulness.
     buffer_.access(BankRow{b, row}, line, type, /*fill_touch=*/true);
-  });
+  }, sim::EventSource::kVault);
   if (entry.req.type == AccessType::kRead) {
     ++n_reads_;
     ++inflight_;
@@ -412,7 +413,7 @@ void VaultController::serve_via_fetch(const QueueEntry& entry, u64 cycle,
     sim_.schedule_at(ready, [this, req, ready] {
       --inflight_;
       respond_(req, ready);
-    });
+    }, sim::EventSource::kVault);
   } else {
     ++n_writes_;
   }
@@ -499,7 +500,7 @@ bool VaultController::issue_demand_column(u64 cycle) {
       sim_.schedule_at(ready, [this, req, ready] {
         --inflight_;
         respond_(req, ready);
-      });
+      }, sim::EventSource::kVault);
     } else {
       done = bank.write(cycle, it->req.id);
       ++n_writes_;
@@ -658,7 +659,7 @@ bool VaultController::issue_prefetch(u64 cycle) {
                 cfg_.seed_buffer_utilization ? row_reference_bitmap(b, r) : 0;
             sim_.schedule_at(tick_of(done), [this, b, r, seed, cycle] {
               complete_fetch(b, r, seed, cycle);
-            });
+            }, sim::EventSource::kVault);
             if (action.precharge_after) {
               action.fetch_issued = true;
               action.fetch_done_cycle = done;

@@ -19,7 +19,7 @@ EpochSampler::EpochSampler(sim::Simulator& sim, Tick epoch_ticks,
 }
 
 void EpochSampler::start() {
-  sim_.schedule(epoch_ticks_, [this] { fire(); });
+  sim_.schedule(epoch_ticks_, [this] { fire(); }, sim::EventSource::kEpoch);
 }
 
 void EpochSampler::fire() {
@@ -27,7 +27,7 @@ void EpochSampler::fire() {
   EpochSample s = sample_();
   s.tick = sim_.now();
   samples_.push_back(s);
-  sim_.schedule(epoch_ticks_, [this] { fire(); });
+  sim_.schedule(epoch_ticks_, [this] { fire(); }, sim::EventSource::kEpoch);
 }
 
 std::string EpochSampler::series_csv(const std::vector<EpochSample>& samples) {

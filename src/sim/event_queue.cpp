@@ -4,18 +4,20 @@
 
 namespace camps::sim {
 
-EventHandle EventQueue::schedule(Tick when, EventFn fn) {
-  return push(when, next_seq_, std::move(fn));
+EventHandle EventQueue::schedule(Tick when, EventFn fn, EventSource source) {
+  return push(when, next_seq_, std::move(fn), source);
 }
 
-EventHandle EventQueue::schedule_late(Tick when, u32 unit, EventFn fn) {
+EventHandle EventQueue::schedule_late(Tick when, u32 unit, EventFn fn,
+                                      EventSource source) {
   CAMPS_ASSERT(unit < (u32{1} << kUnitBits));
   const u64 key =
       kLateBit | (u64{unit} << kSeqBits) | (next_seq_ & kSeqMask);
-  return push(when, key, std::move(fn));
+  return push(when, key, std::move(fn), source);
 }
 
-EventHandle EventQueue::push(Tick when, u64 key, EventFn fn) {
+EventHandle EventQueue::push(Tick when, u64 key, EventFn fn,
+                             EventSource source) {
   u32 slot;
   if (!free_.empty()) {
     slot = free_.back();
@@ -27,7 +29,7 @@ EventHandle EventQueue::push(Tick when, u64 key, EventFn fn) {
     meta_.push_back(SlotMeta{0, 0});
   }
   ++next_seq_;
-  heap_.push_back(HeapEntry{when, key, slot});
+  heap_.push_back(HeapEntry{when, key, slot, source});
   sift_up(heap_.size() - 1);
   return EventHandle{slot, meta_[slot].generation};
 }

@@ -107,6 +107,12 @@ void sim::Simulator::audit(check::AuditReporter& rep) const {
                    ") is past the earliest pending event (" +
                    std::to_string(queue_.next_time()) + ")");
   }
+  u64 by_source = 0;
+  for (const u64 n : by_source_) by_source += n;
+  rep.expect(by_source == executed_, "source-count",
+             "per-source counts sum to " + std::to_string(by_source) +
+                 " but " + std::to_string(executed_) +
+                 " events were executed");
   queue_.audit(rep);
 }
 

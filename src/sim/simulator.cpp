@@ -4,18 +4,20 @@
 
 namespace camps::sim {
 
-EventHandle Simulator::schedule(Tick delay, EventFn fn) {
-  return queue_.schedule(now_ + delay, std::move(fn));
+EventHandle Simulator::schedule(Tick delay, EventFn fn, EventSource source) {
+  return queue_.schedule(now_ + delay, std::move(fn), source);
 }
 
-EventHandle Simulator::schedule_at(Tick when, EventFn fn) {
+EventHandle Simulator::schedule_at(Tick when, EventFn fn,
+                                   EventSource source) {
   CAMPS_ASSERT_MSG(when >= now_, "cannot schedule into the past");
-  return queue_.schedule(when, std::move(fn));
+  return queue_.schedule(when, std::move(fn), source);
 }
 
-EventHandle Simulator::schedule_late_at(Tick when, u32 unit, EventFn fn) {
+EventHandle Simulator::schedule_late_at(Tick when, u32 unit, EventFn fn,
+                                        EventSource source) {
   CAMPS_ASSERT_MSG(when >= now_, "cannot schedule into the past");
-  return queue_.schedule_late(when, unit, std::move(fn));
+  return queue_.schedule_late(when, unit, std::move(fn), source);
 }
 
 u64 Simulator::run() {
@@ -36,10 +38,12 @@ u64 Simulator::run_until(Tick deadline) {
 
 bool Simulator::step() {
   if (queue_.empty()) return false;
+  const EventSource source = queue_.next_source();
   auto [when, fn] = queue_.pop();
   CAMPS_ASSERT(when >= now_);
   now_ = when;
   fn();
+  ++by_source_[static_cast<size_t>(source)];
   after_event();
   return true;
 }

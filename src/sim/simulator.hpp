@@ -3,7 +3,8 @@
 // Components capture `Simulator&` and call schedule()/schedule_at() (or
 // schedule_late_at() for a tick's late phase), keeping the returned handle
 // if they may need to cancel(); system::System calls the run() variants.
-// Time only moves forward.
+// Time only moves forward. Each event carries an EventSource tag, and the
+// simulator counts executed events per source (sim/event_tags.hpp).
 #pragma once
 
 #include <functional>
@@ -17,15 +18,18 @@ class Simulator final {
   Tick now() const { return now_; }
 
   /// Schedules `fn` to run `delay` ticks from now.
-  EventHandle schedule(Tick delay, EventFn fn);
+  EventHandle schedule(Tick delay, EventFn fn,
+                       EventSource source = EventSource::kOther);
 
   /// Schedules `fn` at absolute tick `when`; must be >= now().
-  EventHandle schedule_at(Tick when, EventFn fn);
+  EventHandle schedule_at(Tick when, EventFn fn,
+                          EventSource source = EventSource::kOther);
 
   /// Schedules `fn` in the late phase of absolute tick `when` (>= now()),
-  /// ordered by `unit` among that tick's late events (see
-  /// EventQueue::schedule_late).
-  EventHandle schedule_late_at(Tick when, u32 unit, EventFn fn);
+  /// ordered by `unit` (a sim::late_unit number) among that tick's late
+  /// events (see EventQueue::schedule_late).
+  EventHandle schedule_late_at(Tick when, u32 unit, EventFn fn,
+                               EventSource source = EventSource::kOther);
 
   /// Removes a scheduled event without running it; false if it already
   /// fired or was cancelled (see EventQueue::cancel).
@@ -53,6 +57,8 @@ class Simulator final {
   bool step();
 
   u64 events_executed() const { return executed_; }
+  /// Executed events per source tag; they sum to events_executed().
+  const EventCounts& events_by_source() const { return by_source_; }
   EventQueue& queue() { return queue_; }
 
   /// Calls `fn` after every `every_events` executed events (0 disables).
@@ -64,8 +70,9 @@ class Simulator final {
     hook_ = std::move(fn);
   }
 
-  /// Invariants: time never outruns the earliest pending event, and the
-  /// event queue's internal structure holds (delegated).
+  /// Invariants: time never outruns the earliest pending event, the
+  /// per-source counts sum to the executed events, and the event queue's
+  /// internal structure holds (delegated).
   void audit(check::AuditReporter& reporter) const;
 
  private:
@@ -81,6 +88,7 @@ class Simulator final {
   EventQueue queue_;
   Tick now_ = 0;
   u64 executed_ = 0;
+  EventCounts by_source_{};
   u64 hook_every_ = 0;
   u64 hook_countdown_ = 0;
   std::function<void()> hook_;

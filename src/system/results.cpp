@@ -107,6 +107,12 @@ std::string RunResults::to_json(int indent) const {
   w.field("measure_span_ticks", measure_span_ticks);
   w.field("partial", partial);
   w.field("events_executed", events_executed);
+  w.key("events_by_source");
+  w.begin_object();
+  for (size_t i = 0; i < sim::kEventSources; ++i) {
+    w.field(sim::kEventSourceNames[i], events_by_source[i]);
+  }
+  w.end_object();
   w.key("cores");
   w.begin_array();
   for (const auto& core : cores) {

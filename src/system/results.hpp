@@ -9,6 +9,7 @@
 #include "common/types.hpp"
 #include "obs/epoch_sampler.hpp"
 #include "obs/trace_recorder.hpp"
+#include "sim/event_tags.hpp"
 
 namespace camps::system {
 
@@ -60,12 +61,15 @@ struct FaultSummary {
   }
 };
 
+/// One core's numbers. `ipc` and `instructions` cover this core's own
+/// measurement window only; `loads`, `stores` and `stall_cycles` count the
+/// whole run, warm-up included.
 struct CoreResult {
-  double ipc = 0.0;          ///< Measured-window IPC.
+  double ipc = 0.0;          ///< IPC over the measurement window.
   u64 instructions = 0;      ///< Instructions inside the window.
-  u64 loads = 0;
-  u64 stores = 0;
-  u64 stall_cycles = 0;
+  u64 loads = 0;             ///< Loads issued over the whole run.
+  u64 stores = 0;            ///< Stores issued over the whole run.
+  u64 stall_cycles = 0;      ///< Full-window stall cycles, whole run.
 };
 
 struct RunResults {
@@ -127,9 +131,12 @@ struct RunResults {
   std::shared_ptr<const std::vector<obs::EpochSample>> epochs;
 
   // Host-side performance of the simulation itself (not simulated time).
-  // events_executed is deterministic; wall_seconds is not, so identical-run
-  // comparisons must exclude it.
+  // events_executed and events_by_source are deterministic; wall_seconds is
+  // not, so identical-run comparisons must exclude it.
   u64 events_executed = 0;     ///< Simulator events dispatched by the run.
+  /// events_executed split by the layer that scheduled each event
+  /// (indexed by sim::EventSource; sums to events_executed).
+  sim::EventCounts events_by_source{};
   double wall_seconds = 0.0;   ///< Host wall-clock spent inside run().
 
   /// Multi-line human-readable summary.

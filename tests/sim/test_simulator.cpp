@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 namespace camps::sim {
@@ -133,6 +134,47 @@ TEST(Simulator, LateEventsRunAfterTheTicksOrdinaryEvents) {
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 3}));
   EXPECT_EQ(sim.now(), 10u);
+}
+
+TEST(Simulator, CoreStepsAndVaultWakesFollowUnitOrder) {
+  // Whatever order they were scheduled in, one tick runs its ordinary
+  // events, then vault wakes by vault id, then core steps by core id.
+  Simulator sim;
+  std::vector<std::string> order;
+  auto late = [&](u32 unit, std::string name) {
+    sim.schedule_late_at(10, unit, [&order, name] { order.push_back(name); });
+  };
+  late(late_unit::core(1), "core1");
+  late(late_unit::vault(31), "vault31");
+  late(late_unit::core(0), "core0");
+  late(late_unit::vault(0), "vault0");
+  sim.schedule_at(10, [&] { order.push_back("ordinary"); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"ordinary", "vault0", "vault31",
+                                             "core0", "core1"}));
+  EXPECT_LT(late_unit::vault(late_unit::kVaults - 1), late_unit::core(0))
+      << "the vault and core unit ranges must not overlap";
+}
+
+TEST(Simulator, CountsExecutedEventsPerSource) {
+  Simulator sim;
+  sim.schedule(1, [] {}, EventSource::kCore);
+  sim.schedule(2, [] {}, EventSource::kCore);
+  sim.schedule_late_at(3, late_unit::vault(0), [] {}, EventSource::kVault);
+  sim.schedule(4, [] {});
+  const EventHandle cancelled = sim.schedule(5, [] {}, EventSource::kHost);
+  sim.cancel(cancelled);
+  sim.run();
+  const EventCounts& by = sim.events_by_source();
+  EXPECT_EQ(by[static_cast<size_t>(EventSource::kCore)], 2u);
+  EXPECT_EQ(by[static_cast<size_t>(EventSource::kVault)], 1u);
+  EXPECT_EQ(by[static_cast<size_t>(EventSource::kOther)], 1u)
+      << "untagged events count as other";
+  EXPECT_EQ(by[static_cast<size_t>(EventSource::kHost)], 0u)
+      << "a cancelled event never runs, so it is never counted";
+  u64 sum = 0;
+  for (const u64 n : by) sum += n;
+  EXPECT_EQ(sum, sim.events_executed());
 }
 
 }  // namespace
