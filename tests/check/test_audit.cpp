@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "cache/hierarchy.hpp"
 #include "cache/mshr.hpp"
 #include "check/audit.hpp"
+#include "cpu/core.hpp"
 #include "dram/bank.hpp"
 #include "hmc/vault_controller.hpp"
 #include "prefetch/conflict_table.hpp"
@@ -67,6 +70,12 @@ struct TestCorruptor {
   static void cross_rut_ct(prefetch::CampsScheme& scheme, BankId bank,
                            RowId row) {
     scheme.ct_.insert(BankRow{bank, row});
+  }
+  static bool stalled_on_a_hit(const cpu::Core& core) {
+    return core.stalled_ && core.resume_at_ != kTickNever;
+  }
+  static void drop_core_step(sim::Simulator& sim, cpu::Core& core) {
+    sim.cancel(core.step_);
   }
 };
 
@@ -303,6 +312,53 @@ TEST(CorruptionAudit, VaultWithWorkLostItsWake) {
   AuditReporter rep;
   vault.audit(rep);
   EXPECT_TRUE(reports(rep, "vault-wake-pending")) << rep.report();
+}
+
+/// Memory that answers every read after 200 cycles.
+class SlowMemory final : public cache::MemoryPort {
+ public:
+  explicit SlowMemory(sim::Simulator& sim) : sim_(sim) {}
+  void mem_read(Addr, CoreId, std::function<void()> done) override {
+    sim_.schedule(200 * sim::kCpuTicksPerCycle, std::move(done));
+  }
+  void mem_write(Addr, CoreId) override {}
+
+ private:
+  sim::Simulator& sim_;
+};
+
+TEST(CorruptionAudit, StalledCoreLostItsStep) {
+  // A one-load window over warm lines: the core plans a stall on an
+  // in-flight hit, and its step must wait at the issue tick after that hit.
+  sim::Simulator sim;
+  SlowMemory memory(sim);
+  cache::HierarchyConfig caches_cfg;
+  caches_cfg.l1 = cache::CacheConfig{1024, 2, 64, 2};
+  caches_cfg.l2 = cache::CacheConfig{4096, 4, 64, 6};
+  caches_cfg.l3 = cache::CacheConfig{16384, 4, 64, 20};
+  cache::CacheHierarchy caches(sim, caches_cfg, 1, &memory);
+  caches.read(0, 0x100000, nullptr);
+  sim.run();
+  const trace::TraceRecord load{0, 0x100000, AccessType::kRead};
+  trace::VectorTraceSource trace(std::vector<trace::TraceRecord>(20, load));
+  cpu::CoreConfig cfg;
+  cfg.max_outstanding_loads = 1;
+  cpu::Core core(sim, 0, cfg, &trace, &caches, nullptr, nullptr);
+  core.start();
+  for (int i = 0; i < 100 && !TestCorruptor::stalled_on_a_hit(core); ++i) {
+    sim.step();
+  }
+  ASSERT_TRUE(TestCorruptor::stalled_on_a_hit(core));
+  {
+    AuditReporter rep;
+    core.audit(rep);
+    EXPECT_TRUE(rep.clean()) << rep.report();
+    EXPECT_GT(rep.checks_run(), 0u);
+  }
+  TestCorruptor::drop_core_step(sim, core);
+  AuditReporter rep;
+  core.audit(rep);
+  EXPECT_TRUE(reports(rep, "core-stall-step")) << rep.report();
 }
 
 TEST(CorruptionAudit, RowProfiledInRutAndArchivedInCt) {
