@@ -6,52 +6,41 @@
 #include <string>
 #include <vector>
 #include "bench_common.hpp"
-#include "exp/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace camps;
-  const auto cfg = bench::parse_args(argc, argv);
-  bench::print_banner("Ablation: address mapping",
-                      "paper fixes RoRaBaVaCo (Table I)", cfg);
+using namespace camps;
+using prefetch::SchemeKind;
 
-  struct MapCase {
-    const char* name;
-    hmc::FieldOrder order;
-  };
-  const std::vector<MapCase> maps = {
-      {"RoRaBaVaCo (paper)", hmc::kRoRaBaVaCo},
-      {"RoBaRaCoVa (line-interleave)", hmc::kRoBaRaCoVa},
-      {"RoVaRaCoBa (bank-lowest)", hmc::kRoVaRaCoBa},
-  };
+static exp::Variant mapping(const char* name, hmc::FieldOrder order) {
+  return {name,
+          [order](system::SystemConfig& c) { c.hmc.field_order = order; }};
+}
 
-  const std::string workload = "MX2";
-  std::vector<std::pair<system::SystemConfig, std::string>> sims;
-  for (const auto& m : maps) {
-    auto none_cfg = cfg.system_config(prefetch::SchemeKind::kNone);
-    none_cfg.hmc.field_order = m.order;
-    sims.emplace_back(none_cfg, workload);
-    auto cmod_cfg = cfg.system_config(prefetch::SchemeKind::kCampsMod);
-    cmod_cfg.hmc.field_order = m.order;
-    sims.emplace_back(cmod_cfg, workload);
-  }
-  const auto results = bench::run_sims(cfg, sims);
+const std::string kWorkload = "MX2";
+const std::vector<exp::Variant> kMaps = {
+    mapping("RoRaBaVaCo (paper)", hmc::kRoRaBaVaCo),
+    mapping("RoBaRaCoVa (line-interleave)", hmc::kRoBaRaCoVa),
+    mapping("RoVaRaCoBa (bank-lowest)", hmc::kRoVaRaCoBa),
+};
 
+static bench::Output render(exp::Runner& runner) {
   exp::Table table({"mapping", "NONE IPC", "CAMPS-MOD IPC", "speedup",
                     "conflict rate", "pf accuracy"});
-  size_t next = 0;
-  for (const auto& m : maps) {
-    const auto& none = results[next++];
-    const auto& cmod = results[next++];
-    table.add_row({m.name, exp::Table::fmt(none.geomean_ipc),
+  for (const auto& m : kMaps) {
+    const auto& none = runner.result(kWorkload, SchemeKind::kNone, m);
+    const auto& cmod = runner.result(kWorkload, SchemeKind::kCampsMod, m);
+    table.add_row({m.label, exp::Table::fmt(none.geomean_ipc),
                    exp::Table::fmt(cmod.geomean_ipc),
                    exp::Table::fmt(cmod.geomean_ipc / none.geomean_ipc),
                    exp::Table::pct(cmod.row_conflict_rate),
                    exp::Table::pct(cmod.prefetch_accuracy)});
   }
-  std::printf("%s", table.to_string().c_str());
-  bench::maybe_write_csv(table);
-  const auto named = bench::named_results(sims, results);
-  bench::maybe_write_stats_json("ablate_addrmap", cfg, named, table);
-  bench::maybe_write_trace(named);
-  return 0;
+  return {std::move(table), ""};
 }
+
+const bench::Spec kSpec = {
+    "ablate_addrmap", "Ablation: address mapping",
+    "paper fixes RoRaBaVaCo (Table I)",
+    exp::Runner::cross({kWorkload}, {SchemeKind::kNone, SchemeKind::kCampsMod},
+                       kMaps), render};
+
+int main(int argc, char** argv) { return bench::run(argc, argv, kSpec); }

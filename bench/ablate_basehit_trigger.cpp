@@ -3,43 +3,36 @@
 // lower coverage.
 
 #include <string>
-#include <vector>
 #include "bench_common.hpp"
-#include "exp/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace camps;
-  const auto cfg = bench::parse_args(argc, argv);
-  bench::print_banner("Ablation: BASE-HIT queued-hit trigger",
-                      "paper uses >= 2 read-queue hits (Section 5)", cfg);
+using namespace camps;
+using prefetch::SchemeKind;
 
-  const std::string workload = "HM2";
-  const std::vector<u32> triggers = {2, 3, 4, 6, 8};
+const std::string kWorkload = "HM2";
+const bench::Axis kMinHits = {
+    "min_hits", {2, 3, 4, 6, 8}, [](system::SystemConfig& c, u32 n) {
+      c.scheme_params.base_hit_min_hits = n;
+    }};
 
-  std::vector<std::pair<system::SystemConfig, std::string>> sims;
-  sims.emplace_back(cfg.system_config(prefetch::SchemeKind::kBase), workload);
-  for (u32 trigger : triggers) {
-    auto sys_cfg = cfg.system_config(prefetch::SchemeKind::kBaseHit);
-    sys_cfg.scheme_params.base_hit_min_hits = trigger;
-    sims.emplace_back(sys_cfg, workload);
-  }
-  const auto results = bench::run_sims(cfg, sims);
-  const double base_ipc = results[0].geomean_ipc;
-
+static bench::Output render(exp::Runner& runner) {
+  const double base_ipc =
+      runner.result(kWorkload, SchemeKind::kBase).geomean_ipc;
   exp::Table table(
       {"min hits", "speedup vs BASE", "prefetches", "accuracy", "buffer hits"});
-  for (size_t i = 0; i < triggers.size(); ++i) {
-    const auto& r = results[i + 1];
-    table.add_row({std::to_string(triggers[i]),
-                   exp::Table::fmt(r.geomean_ipc / base_ipc),
+  for (u32 n : kMinHits.values) {
+    const auto& r =
+        runner.result(kWorkload, SchemeKind::kBaseHit, kMinHits.at(n));
+    table.add_row({std::to_string(n), exp::Table::fmt(r.geomean_ipc / base_ipc),
                    std::to_string(r.prefetches),
                    exp::Table::pct(r.prefetch_accuracy),
                    std::to_string(r.buffer_hits)});
   }
-  std::printf("%s", table.to_string().c_str());
-  bench::maybe_write_csv(table);
-  const auto named = bench::named_results(sims, results);
-  bench::maybe_write_stats_json("ablate_basehit_trigger", cfg, named, table);
-  bench::maybe_write_trace(named);
-  return 0;
+  return {std::move(table), ""};
 }
+
+const bench::Spec kSpec = {
+    "ablate_basehit_trigger", "Ablation: BASE-HIT queued-hit trigger",
+    "paper uses >= 2 read-queue hits (Section 5)",
+    kMinHits.jobs({kWorkload}, {SchemeKind::kBaseHit}), render};
+
+int main(int argc, char** argv) { return bench::run(argc, argv, kSpec); }

@@ -5,54 +5,37 @@
 #include <string>
 #include <vector>
 #include "bench_common.hpp"
-#include "exp/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace camps;
-  const auto cfg = bench::parse_args(argc, argv);
-  bench::print_banner("Ablation: prefetch buffer entries per vault",
-                      "paper fixes 16 x 1 KB (Table I)", cfg);
+using namespace camps;
+using prefetch::SchemeKind;
 
-  const std::string workload = "MX2";
-  const std::vector<u32> sizes = {4, 8, 16, 32, 64};
-  const std::vector<prefetch::SchemeKind> schemes = {
-      prefetch::SchemeKind::kCamps, prefetch::SchemeKind::kCampsMod};
+const std::string kWorkload = "MX2";
+const std::vector<SchemeKind> kSchemes = {SchemeKind::kCamps,
+                                          SchemeKind::kCampsMod};
+const bench::Axis kEntries = {
+    "entries", {4, 8, 16, 32, 64},
+    [](system::SystemConfig& c, u32 n) { c.hmc.vault.buffer.entries = n; }};
 
-  std::vector<std::pair<system::SystemConfig, std::string>> sims;
-  sims.emplace_back(cfg.system_config(prefetch::SchemeKind::kBase), workload);
-  for (u32 entries : sizes) {
-    for (auto scheme : schemes) {
-      auto sys_cfg = cfg.system_config(scheme);
-      sys_cfg.hmc.vault.buffer.entries = entries;
-      sims.emplace_back(sys_cfg, workload);
-    }
-  }
-  const auto results = bench::run_sims(cfg, sims);
-  const double base_ipc = results[0].geomean_ipc;
-
+static bench::Output render(exp::Runner& runner) {
   exp::Table table({"entries", "CAMPS speedup", "CAMPS-MOD speedup",
                     "CAMPS-MOD buffer hits", "CAMPS-MOD accuracy"});
-  size_t next = 1;
-  for (u32 entries : sizes) {
-    std::vector<std::string> row{std::to_string(entries)};
-    u64 hits = 0;
-    double acc = 0.0;
-    for (auto scheme : schemes) {
-      const auto& r = results[next++];
-      row.push_back(exp::Table::fmt(r.geomean_ipc / base_ipc));
-      if (scheme == prefetch::SchemeKind::kCampsMod) {
-        hits = r.buffer_hits;
-        acc = r.prefetch_accuracy;
-      }
-    }
-    row.push_back(std::to_string(hits));
-    row.push_back(exp::Table::pct(acc));
+  for (u32 n : kEntries.values) {
+    auto row = bench::row(std::to_string(n), kSchemes, [&](SchemeKind s) {
+      return exp::Table::fmt(
+          runner.speedup(kWorkload, s, SchemeKind::kBase, kEntries.at(n)));
+    });
+    const auto& cmod =
+        runner.result(kWorkload, SchemeKind::kCampsMod, kEntries.at(n));
+    row.push_back(std::to_string(cmod.buffer_hits));
+    row.push_back(exp::Table::pct(cmod.prefetch_accuracy));
     table.add_row(std::move(row));
   }
-  std::printf("%s", table.to_string().c_str());
-  bench::maybe_write_csv(table);
-  const auto named = bench::named_results(sims, results);
-  bench::maybe_write_stats_json("ablate_buffer_size", cfg, named, table);
-  bench::maybe_write_trace(named);
-  return 0;
+  return {std::move(table), ""};
 }
+
+const bench::Spec kSpec = {
+    "ablate_buffer_size", "Ablation: prefetch buffer entries per vault",
+    "paper fixes 16 x 1 KB (Table I)", kEntries.jobs({kWorkload}, kSchemes),
+    render};
+
+int main(int argc, char** argv) { return bench::run(argc, argv, kSpec); }

@@ -3,57 +3,38 @@
 // whose re-activation distance exceeds the table's reach; beyond the
 // working set of conflicting rows the benefit saturates.
 
-#include <map>
 #include <string>
 #include <vector>
 #include "bench_common.hpp"
-#include "exp/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace camps;
-  const auto cfg = bench::parse_args(argc, argv);
-  bench::print_banner("Ablation: Conflict Table entries per vault",
-                      "paper fixes 32 entries (Section 3.1)", cfg);
+using namespace camps;
+using prefetch::SchemeKind;
 
-  const std::vector<std::string> workloads = {"HM3", "MX1"};
-  const std::vector<u32> sizes = {4, 8, 16, 32, 64, 128};
+const std::vector<std::string> kWorkloads = {"HM3", "MX1"};
+const bench::Axis kEntries = {
+    "ct", {4, 8, 16, 32, 64, 128}, [](system::SystemConfig& c, u32 n) {
+      c.scheme_params.camps.conflict_entries = n;
+    }};
 
-  std::vector<std::pair<system::SystemConfig, std::string>> sims;
-  for (const auto& w : workloads) {
-    sims.emplace_back(cfg.system_config(prefetch::SchemeKind::kBase), w);
-  }
-  for (u32 entries : sizes) {
-    for (const auto& w : workloads) {
-      auto sys_cfg = cfg.system_config(prefetch::SchemeKind::kCampsMod);
-      sys_cfg.scheme_params.camps.conflict_entries = entries;
-      sims.emplace_back(sys_cfg, w);
-    }
-  }
-  const auto results = bench::run_sims(cfg, sims);
-
-  std::map<std::string, double> base_ipc;
-  for (size_t i = 0; i < workloads.size(); ++i) {
-    base_ipc[workloads[i]] = results[i].geomean_ipc;
-  }
-
+static bench::Output render(exp::Runner& runner) {
   exp::Table table({"CT entries", "HM3 speedup", "MX1 speedup",
                     "conflict rate (HM3)"});
-  size_t next = workloads.size();
-  for (u32 entries : sizes) {
-    std::vector<std::string> row{std::to_string(entries)};
-    double conflict_rate = 0.0;
-    for (const auto& w : workloads) {
-      const auto& r = results[next++];
-      row.push_back(exp::Table::fmt(r.geomean_ipc / base_ipc[w]));
-      if (w == "HM3") conflict_rate = r.row_conflict_rate;
-    }
-    row.push_back(exp::Table::pct(conflict_rate));
+  for (u32 n : kEntries.values) {
+    auto row = bench::row(std::to_string(n), kWorkloads, [&](const auto& w) {
+      return exp::Table::fmt(runner.speedup(w, SchemeKind::kCampsMod,
+                                            SchemeKind::kBase, kEntries.at(n)));
+    });
+    row.push_back(exp::Table::pct(
+        runner.result("HM3", SchemeKind::kCampsMod, kEntries.at(n))
+            .row_conflict_rate));
     table.add_row(std::move(row));
   }
-  std::printf("%s", table.to_string().c_str());
-  bench::maybe_write_csv(table);
-  const auto named = bench::named_results(sims, results);
-  bench::maybe_write_stats_json("ablate_ct_size", cfg, named, table);
-  bench::maybe_write_trace(named);
-  return 0;
+  return {std::move(table), ""};
 }
+
+const bench::Spec kSpec = {
+    "ablate_ct_size", "Ablation: Conflict Table entries per vault",
+    "paper fixes 32 entries (Section 3.1)",
+    kEntries.jobs(kWorkloads, {SchemeKind::kCampsMod}), render};
+
+int main(int argc, char** argv) { return bench::run(argc, argv, kSpec); }

@@ -6,41 +6,28 @@
 #include <string>
 #include <vector>
 #include "bench_common.hpp"
-#include "exp/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace camps;
-  const auto cfg = bench::parse_args(argc, argv);
-  bench::print_banner("Ablation: page policy",
-                      "paper fixes open page (Table I)", cfg);
+using namespace camps;
 
-  const std::vector<std::string> workloads = {"HM3", "MX2"};
-  const std::vector<prefetch::SchemeKind> schemes = {
-      prefetch::SchemeKind::kNone, prefetch::SchemeKind::kCampsMod};
-  const std::vector<hmc::PagePolicy> policies = {hmc::PagePolicy::kOpen,
-                                                 hmc::PagePolicy::kClosed};
+static exp::Variant policy(hmc::PagePolicy p) {
+  return {p == hmc::PagePolicy::kOpen ? "open" : "closed",
+          [p](system::SystemConfig& c) { c.hmc.vault.page_policy = p; }};
+}
 
-  std::vector<std::pair<system::SystemConfig, std::string>> sims;
-  for (const auto& workload : workloads) {
-    for (auto scheme : schemes) {
-      for (auto policy : policies) {
-        auto sys_cfg = cfg.system_config(scheme);
-        sys_cfg.hmc.vault.page_policy = policy;
-        sims.emplace_back(sys_cfg, workload);
-      }
-    }
-  }
-  const auto results = bench::run_sims(cfg, sims);
+const std::vector<std::string> kWorkloads = {"HM3", "MX2"};
+const std::vector<prefetch::SchemeKind> kSchemes = {
+    prefetch::SchemeKind::kNone, prefetch::SchemeKind::kCampsMod};
+const std::vector<exp::Variant> kPolicies = {policy(hmc::PagePolicy::kOpen),
+                                             policy(hmc::PagePolicy::kClosed)};
 
+static bench::Output render(exp::Runner& runner) {
   exp::Table table({"workload", "scheme", "policy", "IPC", "row hits",
                     "conflicts", "conflict rate"});
-  size_t next = 0;
-  for (const auto& workload : workloads) {
-    for (auto scheme : schemes) {
-      for (auto policy : policies) {
-        const auto& r = results[next++];
-        table.add_row({workload, prefetch::to_string(scheme),
-                       policy == hmc::PagePolicy::kOpen ? "open" : "closed",
+  for (const auto& w : kWorkloads) {
+    for (auto s : kSchemes) {
+      for (const auto& p : kPolicies) {
+        const auto& r = runner.result(w, s, p);
+        table.add_row({w, prefetch::to_string(s), p.label,
                        exp::Table::fmt(r.geomean_ipc),
                        std::to_string(r.row_hits),
                        std::to_string(r.row_conflicts),
@@ -48,10 +35,12 @@ int main(int argc, char** argv) {
       }
     }
   }
-  std::printf("%s", table.to_string().c_str());
-  bench::maybe_write_csv(table);
-  const auto named = bench::named_results(sims, results);
-  bench::maybe_write_stats_json("ablate_page_policy", cfg, named, table);
-  bench::maybe_write_trace(named);
-  return 0;
+  return {std::move(table), ""};
 }
+
+const bench::Spec kSpec = {
+    "ablate_page_policy", "Ablation: page policy",
+    "paper fixes open page (Table I)",
+    exp::Runner::cross(kWorkloads, kSchemes, kPolicies), render};
+
+int main(int argc, char** argv) { return bench::run(argc, argv, kSpec); }

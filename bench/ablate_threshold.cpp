@@ -3,64 +3,40 @@
 // vs BASE plus prefetch volume/accuracy, exposing the coverage/pollution
 // trade-off behind the paper's choice.
 
-#include <map>
 #include <string>
 #include <vector>
 #include "bench_common.hpp"
-#include "exp/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace camps;
-  const auto cfg = bench::parse_args(argc, argv);
-  bench::print_banner("Ablation: RUT utilization threshold",
-                      "paper fixes threshold = 4 (Section 3.1)", cfg);
+using namespace camps;
+using prefetch::SchemeKind;
 
-  const std::vector<std::string> workloads = {"HM2", "LM2", "MX2"};
-  const std::vector<u32> thresholds = {1, 2, 3, 4, 6, 8, 12, 16};
+const std::vector<std::string> kWorkloads = {"HM2", "LM2", "MX2"};
+const bench::Axis kThreshold = {
+    "threshold", {1, 2, 3, 4, 6, 8, 12, 16},
+    [](system::SystemConfig& c, u32 t) {
+      c.scheme_params.camps.utilization_threshold = t;
+    }};
 
-  // One batch: baselines first (threshold is irrelevant for BASE), then the
-  // full (threshold x workload) sweep, all fanned out over --jobs workers.
-  std::vector<std::pair<system::SystemConfig, std::string>> sims;
-  for (const auto& w : workloads) {
-    sims.emplace_back(cfg.system_config(prefetch::SchemeKind::kBase), w);
-  }
-  for (u32 threshold : thresholds) {
-    for (const auto& w : workloads) {
-      auto sys_cfg = cfg.system_config(prefetch::SchemeKind::kCampsMod);
-      sys_cfg.scheme_params.camps.utilization_threshold = threshold;
-      sims.emplace_back(sys_cfg, w);
-    }
-  }
-  const auto results = bench::run_sims(cfg, sims);
-
-  std::map<std::string, double> base_ipc;
-  for (size_t i = 0; i < workloads.size(); ++i) {
-    base_ipc[workloads[i]] = results[i].geomean_ipc;
-  }
-
+static bench::Output render(exp::Runner& runner) {
   exp::Table table({"threshold", "HM2 speedup", "LM2 speedup", "MX2 speedup",
                     "prefetches (HM2)", "accuracy (HM2)"});
-  size_t next = workloads.size();
-  for (u32 threshold : thresholds) {
-    std::vector<std::string> row{std::to_string(threshold)};
-    u64 prefetches = 0;
-    double accuracy = 0.0;
-    for (const auto& w : workloads) {
-      const auto& r = results[next++];
-      row.push_back(exp::Table::fmt(r.geomean_ipc / base_ipc[w]));
-      if (w == "HM2") {
-        prefetches = r.prefetches;
-        accuracy = r.prefetch_accuracy;
-      }
-    }
-    row.push_back(std::to_string(prefetches));
-    row.push_back(exp::Table::pct(accuracy));
+  for (u32 t : kThreshold.values) {
+    auto row = bench::row(std::to_string(t), kWorkloads, [&](const auto& w) {
+      return exp::Table::fmt(runner.speedup(
+          w, SchemeKind::kCampsMod, SchemeKind::kBase, kThreshold.at(t)));
+    });
+    const auto& hm2 =
+        runner.result("HM2", SchemeKind::kCampsMod, kThreshold.at(t));
+    row.push_back(std::to_string(hm2.prefetches));
+    row.push_back(exp::Table::pct(hm2.prefetch_accuracy));
     table.add_row(std::move(row));
   }
-  std::printf("%s", table.to_string().c_str());
-  bench::maybe_write_csv(table);
-  const auto named = bench::named_results(sims, results);
-  bench::maybe_write_stats_json("ablate_threshold", cfg, named, table);
-  bench::maybe_write_trace(named);
-  return 0;
+  return {std::move(table), ""};
 }
+
+const bench::Spec kSpec = {
+    "ablate_threshold", "Ablation: RUT utilization threshold",
+    "paper fixes threshold = 4 (Section 3.1)",
+    kThreshold.jobs(kWorkloads, {SchemeKind::kCampsMod}), render};
+
+int main(int argc, char** argv) { return bench::run(argc, argv, kSpec); }

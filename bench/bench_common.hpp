@@ -1,24 +1,12 @@
-// Shared command-line handling for the figure/table reproduction binaries.
-//
-// Every bench accepts:
-//   --quick        five-times-smaller instruction budget (smoke runs)
-//   --measure=N    detailed-window instructions per core
-//   --warmup=N     warmup instructions per core
-//   --seed=N       workload generation seed
-//   --audit        audit model invariants every 100000 events in every run
-//   --jobs=N       worker threads for the sweep (0 = all hardware threads)
-//   --quiet        suppress per-run progress on stderr
-//   --csv=FILE     additionally write the main table as CSV
-//   --stats-json=FILE  machine-readable results (config + table + per-run
-//                  metrics; byte-identical across --jobs values)
-//   --trace-out=FILE   Chrome trace-event JSON of per-request spans
-//   --trace-cap=N  span ring-buffer capacity per run (default 16384)
-//   --log-level=L  trace|debug|info|warn|error (default warn)
-//
-// Unknown flags are fatal: a typo like `--measure 1000` (missing '=') must
-// not silently run the default budget and waste a full sweep.
+// Shared driver for the figure/table reproduction binaries. A bench is a
+// Spec: its name, banner, the jobs it needs and a render function from the
+// finished exp::Runner to a table plus footer. run() owns everything else,
+// so each bench's main() is one line. Every bench accepts the twelve flags
+// of kUsage below; unknown flags are fatal: a typo like `--measure 1000`
+// (missing '=') must not silently run the default budget and waste a sweep.
 #pragma once
 
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -26,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/json.hpp"
 #include "common/log.hpp"
 #include "exp/runner.hpp"
@@ -34,282 +23,229 @@
 
 namespace camps::bench {
 
-/// CSV output path from --csv= (empty if not requested).
-inline std::string& csv_path() {
-  static std::string path;
-  return path;
-}
+/// --help text; `%s` is the binary's name.
+inline constexpr const char* kUsage =
+    "usage: %s [FLAG]...\n"
+    "  --quick      five-times-smaller instruction budget (smoke runs)\n"
+    "  --measure=N  detailed-window instructions per core\n"
+    "  --warmup=N   warmup instructions per core\n"
+    "  --seed=N     workload generation seed\n"
+    "  --audit      audit model invariants every 100000 events in every run\n"
+    "  --jobs=N     sweep worker threads (default: all hardware threads)\n"
+    "  --quiet      suppress per-run progress on stderr\n"
+    "  --csv=FILE   also write the main table as CSV\n"
+    "  --stats-json=FILE  also write results as JSON (same for any --jobs)\n"
+    "  --trace-out=FILE   write per-request spans as Chrome trace JSON\n"
+    "  --trace-cap=N      span ring capacity per run (default 16384)\n"
+    "  --log-level=L      trace|debug|info|warn|error (default warn)\n";
 
-/// Writes `table` to the --csv= path, if one was given.
-inline void maybe_write_csv(const exp::Table& table) {
-  if (!csv_path().empty()) {
-    table.write_csv(csv_path());
-    std::fprintf(stderr, "csv written to %s\n", csv_path().c_str());
-  }
-}
+/// What a bench prints: its main table, then `footer` verbatim.
+struct Output {
+  exp::Table table;
+  std::string footer;
+};
 
-/// JSON output path from --stats-json= (empty if not requested).
-inline std::string& stats_json_path() {
-  static std::string path;
-  return path;
-}
+/// Everything that differs between two sweep benches.
+struct Spec {
+  const char* name;      ///< "fig5_speedup": the --stats-json "bench" field.
+  const char* title;     ///< Banner heading.
+  const char* headline;  ///< The paper's claim, printed under the heading.
+  std::vector<exp::Runner::Job> jobs;  ///< Every run render() reads.
+  Output (*render)(exp::Runner& runner);
+};
 
-/// Chrome-trace output path from --trace-out= (empty if not requested).
-inline std::string& trace_out_path() {
-  static std::string path;
-  return path;
-}
-
-/// (label, results) pairs in the order the exporters should emit them.
-using NamedResults =
-    std::vector<std::pair<std::string, const system::RunResults*>>;
-
-/// Every cached run of `runner`, labeled "workload/SCHEME", in the cache's
-/// deterministic map order.
-inline NamedResults named_results(const exp::Runner& runner) {
-  NamedResults out;
-  for (const auto& [key, res] : runner.results()) {
-    out.emplace_back(key.first + "/" + prefetch::to_string(key.second), &res);
-  }
+/// One table row: `label`, then `cell(p)` for each p in `ps`.
+template <typename Points, typename Cell>
+std::vector<std::string> row(std::string label, const Points& ps, Cell cell) {
+  std::vector<std::string> out{std::move(label)};
+  for (const auto& p : ps) out.push_back(cell(p));
   return out;
 }
 
-/// Labels hand-built run_sims() batches "workload/SCHEME@i" (the index
-/// disambiguates ablation points reusing the same workload and scheme).
-inline NamedResults named_results(
-    const std::vector<std::pair<system::SystemConfig, std::string>>& sims,
-    const std::vector<system::RunResults>& results) {
-  NamedResults out;
-  for (size_t i = 0; i < results.size() && i < sims.size(); ++i) {
-    out.emplace_back(sims[i].second + "/" +
-                         prefetch::to_string(sims[i].first.scheme) + "@" +
-                         std::to_string(i),
-                     &results[i]);
+/// A numeric ablation axis: at(v) is the Variant "<name>=<v>", whose edit
+/// is set(config, v).
+struct Axis {
+  const char* name;
+  std::vector<u32> values;
+  void (*set)(system::SystemConfig& config, u32 value);
+
+  exp::Variant at(u32 v) const {
+    return {std::string(name) + "=" + std::to_string(v),
+            [set = set, v](system::SystemConfig& config) { set(config, v); }};
   }
-  return out;
-}
 
-/// Writes the bench-level JSON document to the --stats-json= path, if one
-/// was given. Layout: {"bench", "config", "table", "runs": [{"name",
-/// "results"}...]}. Runs are emitted compactly (one line each) inside a
-/// pretty-printed shell. Excludes wall-clock, so the file is byte-identical
-/// across --jobs values.
-inline void maybe_write_stats_json(const char* bench,
-                                   const exp::ExperimentConfig& cfg,
-                                   const NamedResults& runs,
-                                   const exp::Table& table) {
-  if (stats_json_path().empty()) return;
-  JsonWriter w(2);
-  w.begin_object();
-  w.field("bench", bench);
-  w.key("config");
-  w.begin_object();
-  w.field("warmup_instructions", cfg.warmup_instructions);
-  w.field("measure_instructions", cfg.measure_instructions);
-  w.field("seed", cfg.seed);
-  w.end_object();
-  w.key("table");
-  w.raw(table.to_json(0));
-  w.key("runs");
-  w.begin_array();
-  for (const auto& [name, res] : runs) {
-    w.begin_object();
-    w.field("name", name);
-    w.key("results");
-    w.raw(res->to_json(0));
-    w.end_object();
+  /// Every (workload, scheme, value) point, plus BASE on each workload (the
+  /// speedup denominator).
+  std::vector<exp::Runner::Job> jobs(
+      const std::vector<std::string>& workloads,
+      const std::vector<prefetch::SchemeKind>& schemes) const {
+    std::vector<exp::Variant> points;
+    for (u32 v : values) points.push_back(at(v));
+    auto out = exp::Runner::cross(workloads, schemes, points);
+    for (const auto& w : workloads) {
+      out.push_back({w, prefetch::SchemeKind::kBase});
+    }
+    return out;
   }
-  w.end_array();
-  w.end_object();
-  write_text_file(stats_json_path(), w.str() + "\n");
-  std::fprintf(stderr, "stats json written to %s\n",
-               stats_json_path().c_str());
+};
+
+/// printf into a std::string (bench footers).
+[[gnu::format(printf, 1, 2)]] inline std::string format(const char* f, ...) {
+  char buf[1024];
+  va_list args;
+  va_start(args, f);
+  std::vsnprintf(buf, sizeof buf, f, args);
+  va_end(args);
+  return buf;
 }
 
-inline void maybe_write_stats_json(const char* bench,
-                                   const exp::Runner& runner,
-                                   const exp::Table& table) {
-  if (stats_json_path().empty()) return;
-  maybe_write_stats_json(bench, runner.config(), named_results(runner), table);
-}
-
-/// Writes all runs' spans as one Chrome trace to the --trace-out= path, if
-/// one was given (each run becomes a process in the viewer).
-inline void maybe_write_trace(const NamedResults& runs) {
-  if (trace_out_path().empty()) return;
-  std::vector<obs::TraceRun> trace_runs;
-  for (const auto& [name, res] : runs) {
-    if (res->trace_spans == nullptr) continue;
-    trace_runs.push_back(obs::TraceRun{name, res->trace_spans.get()});
-  }
-  obs::write_chrome_trace(trace_out_path(), trace_runs);
-  std::fprintf(stderr, "trace written to %s (%zu runs)\n",
-               trace_out_path().c_str(), trace_runs.size());
-}
-
-inline void maybe_write_trace(const exp::Runner& runner) {
-  if (trace_out_path().empty()) return;
-  maybe_write_trace(named_results(runner));
-}
+/// Parsed flags; an empty path means that export was not requested.
+struct Options {
+  exp::ExperimentConfig cfg;
+  std::string csv, stats_json, trace_out;
+};
 
 inline void print_usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--quick] [--measure=N] [--warmup=N] [--seed=N]\n"
-               "          [--audit] [--jobs=N] [--quiet] [--csv=FILE]\n"
-               "          [--stats-json=FILE] [--trace-out=FILE] "
-               "[--trace-cap=N] [--log-level=L]\n"
-               "  --quick      1/5th instruction budget (smoke run)\n"
-               "  --measure=N  measured instructions per core\n"
-               "  --warmup=N   warmup instructions per core\n"
-               "  --seed=N     workload generation seed\n"
-               "  --audit      audit model invariants every 100000 events\n"
-               "  --jobs=N     worker threads for the sweep "
-               "(default: all hardware threads)\n"
-               "  --quiet      suppress per-run progress on stderr\n"
-               "  --csv=FILE   also write the main table as CSV\n"
-               "  --stats-json=FILE  also write results as JSON "
-               "(deterministic across --jobs)\n"
-               "  --trace-out=FILE   write request-lifecycle spans as "
-               "Chrome trace JSON\n"
-               "  --trace-cap=N      span ring capacity per run "
-               "(default 16384)\n"
-               "  --log-level=L      trace|debug|info|warn|error "
-               "(default warn)\n",
-               argv0);
+  std::fprintf(stderr, kUsage, argv0);
 }
 
-/// Strict parse for --log-level= values; exits on anything unrecognized.
-inline LogLevel parse_log_level(const char* argv0, const std::string& value) {
-  if (value == "trace") return LogLevel::kTrace;
-  if (value == "debug") return LogLevel::kDebug;
-  if (value == "info") return LogLevel::kInfo;
-  if (value == "warn") return LogLevel::kWarn;
-  if (value == "error") return LogLevel::kError;
-  std::fprintf(stderr,
-               "%s: --log-level expects trace|debug|info|warn|error, "
-               "got \"%s\"\n",
-               argv0, value.c_str());
-  print_usage(argv0);
-  std::exit(2);
-}
-
-/// Strict decimal parse for --flag=N values: the whole value must be
-/// digits. `--jobs=abc` quietly becoming 0 would silently run the wrong
-/// sweep, which is exactly what fatal unknown-flag handling exists to stop.
-inline u64 parse_u64_value(const char* argv0, const std::string& arg,
-                           size_t prefix_len) {
-  const char* value = arg.c_str() + prefix_len;
-  char* end = nullptr;
-  const u64 parsed = std::strtoull(value, &end, 10);
-  if (*value == '\0' || end == nullptr || *end != '\0') {
-    std::fprintf(stderr, "%s: %.*s expects a number, got \"%s\"\n", argv0,
-                 static_cast<int>(prefix_len - 1), arg.c_str(), value);
-    print_usage(argv0);
-    std::exit(2);
-  }
-  return parsed;
-}
-
-inline exp::ExperimentConfig parse_args(int argc, char** argv) {
-  exp::ExperimentConfig cfg;
+inline Options parse_args(int argc, char** argv) {
+  Options opt;
+  exp::ExperimentConfig& cfg = opt.cfg;
   cfg.warmup_instructions = 50'000;
   cfg.measure_instructions = 250'000;
   cfg.verbose = true;
+  const char* argv0 = argv[0];
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    auto number = [&](size_t prefix_len) {
+      return cli::parse_u64(argv0, arg, prefix_len, print_usage);
+    };
     if (arg == "--quick") {
       cfg.warmup_instructions /= 5;
       cfg.measure_instructions /= 5;
     } else if (arg.rfind("--measure=", 0) == 0) {
-      cfg.measure_instructions = parse_u64_value(argv[0], arg, 10);
+      cfg.measure_instructions = number(10);
     } else if (arg.rfind("--warmup=", 0) == 0) {
-      cfg.warmup_instructions = parse_u64_value(argv[0], arg, 9);
+      cfg.warmup_instructions = number(9);
     } else if (arg.rfind("--seed=", 0) == 0) {
-      cfg.seed = parse_u64_value(argv[0], arg, 7);
+      cfg.seed = number(7);
     } else if (arg == "--audit") {
       cfg.audit_every = 100'000;
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      cfg.jobs = static_cast<u32>(parse_u64_value(argv[0], arg, 7));
+      cfg.jobs = static_cast<u32>(number(7));
     } else if (arg == "--quiet") {
       cfg.verbose = false;
     } else if (arg.rfind("--csv=", 0) == 0) {
-      csv_path() = arg.substr(6);
+      opt.csv = arg.substr(6);
     } else if (arg.rfind("--stats-json=", 0) == 0) {
-      stats_json_path() = arg.substr(13);
+      opt.stats_json = arg.substr(13);
     } else if (arg.rfind("--trace-out=", 0) == 0) {
-      trace_out_path() = arg.substr(12);
+      opt.trace_out = arg.substr(12);
     } else if (arg.rfind("--trace-cap=", 0) == 0) {
-      cfg.obs.trace_capacity =
-          static_cast<u32>(parse_u64_value(argv[0], arg, 12));
+      cfg.obs.trace_capacity = static_cast<u32>(number(12));
     } else if (arg.rfind("--log-level=", 0) == 0) {
-      set_log_level(parse_log_level(argv[0], arg.substr(12)));
+      set_log_level(cli::parse_log_level(argv0, arg, 12, print_usage));
     } else if (arg == "--help") {
-      print_usage(argv[0]);
+      print_usage(argv0);
       std::exit(0);
     } else {
-      std::fprintf(stderr, "%s: unknown argument: %s\n", argv[0], arg.c_str());
+      std::fprintf(stderr, "%s: unknown argument: %s\n", argv0, arg.c_str());
       // Catch the `--flag value` (instead of `--flag=value`) shape.
-      for (const char* f : {"--measure", "--warmup", "--seed", "--jobs",
-                            "--csv", "--stats-json", "--trace-out",
-                            "--trace-cap", "--log-level"}) {
-        if (arg == f) {
-          std::fprintf(stderr, "(did you mean %s=VALUE?)\n", f);
-        }
+      if (std::strstr(kUsage, ("  " + arg + "=").c_str()) != nullptr) {
+        std::fprintf(stderr, "(did you mean %s=VALUE?)\n", arg.c_str());
       }
-      print_usage(argv[0]);
+      print_usage(argv0);
       std::exit(2);
     }
   }
   // Tracing is armed by asking for the output file; the recorder itself
   // costs one branch per instrumentation point otherwise.
-  cfg.obs.trace_enabled = !trace_out_path().empty();
-  return cfg;
+  cfg.obs.trace_enabled = !opt.trace_out.empty();
+  return opt;
 }
 
-inline void print_banner(const char* figure, const char* paper_headline,
-                         const exp::ExperimentConfig& cfg) {
-  std::printf("=== %s ===\n", figure);
-  std::printf("paper: %s\n", paper_headline);
-  std::printf("run: %llu warmup + %llu measured instructions/core, seed %llu\n\n",
-              static_cast<unsigned long long>(cfg.warmup_instructions),
-              static_cast<unsigned long long>(cfg.measure_instructions),
-              static_cast<unsigned long long>(cfg.seed));
-}
-
-/// Runs hand-built (config, workload) simulations on cfg.jobs worker
-/// threads and returns the results in input order. The ablation benches use
-/// this where they tweak SystemConfig fields the Runner cache can't key on.
-inline std::vector<system::RunResults> run_sims(
-    const exp::ExperimentConfig& cfg,
-    const std::vector<std::pair<system::SystemConfig, std::string>>& sims) {
-  std::vector<exp::SimFn> fns;
-  fns.reserve(sims.size());
-  for (const auto& sim : sims) {
-    const system::SystemConfig sys_cfg = sim.first;
-    const std::string workload = sim.second;
-    const bool verbose = cfg.verbose;
-    fns.push_back([sys_cfg, workload, verbose] {
-      if (verbose) {
-        progress_line("[run] %s / %s ...", workload.c_str(),
-                      prefetch::to_string(sys_cfg.scheme));
-      }
-      return system::make_workload_system(sys_cfg, workload)->run();
-    });
+/// The bench-level JSON document. Layout: {"bench", "config", "table",
+/// "runs": [{"name", "results"}...]}, runs in the cache's map order and
+/// emitted compactly (one line each) inside a pretty-printed shell.
+/// Excludes wall-clock, so the file is byte-identical across --jobs values.
+inline void write_stats_json(const std::string& path, const char* bench,
+                             const exp::Runner& runner,
+                             const exp::Table& table) {
+  JsonWriter w(2);
+  w.begin_object();
+  w.field("bench", bench);
+  w.key("config");
+  w.begin_object();
+  w.field("warmup_instructions", runner.config().warmup_instructions);
+  w.field("measure_instructions", runner.config().measure_instructions);
+  w.field("seed", runner.config().seed);
+  w.end_object();
+  w.key("table");
+  w.raw(table.to_json(0));
+  w.key("runs");
+  w.begin_array();
+  for (const auto& [key, res] : runner.results()) {
+    w.begin_object();
+    w.field("name", exp::Runner::run_name(key));
+    w.key("results");
+    w.raw(res.to_json(0));
+    w.end_object();
   }
-  return exp::run_parallel(std::move(fns), cfg.jobs);
+  w.end_array();
+  w.end_object();
+  write_text_file(path, w.str() + "\n");
+  std::fprintf(stderr, "stats json written to %s\n", path.c_str());
 }
 
-/// Prints the runner's accumulated host-side cost to stderr (not stdout, so
-/// output tables stay byte-identical across --jobs settings).
-inline void report_timing(const exp::Runner& runner) {
+/// All runs' spans as one Chrome trace (each run is a viewer process).
+inline void write_trace(const std::string& path, const exp::Runner& runner) {
+  std::vector<obs::TraceRun> trace_runs;
+  for (const auto& [key, res] : runner.results()) {
+    if (res.trace_spans == nullptr) continue;
+    trace_runs.push_back(
+        obs::TraceRun{exp::Runner::run_name(key), res.trace_spans.get()});
+  }
+  obs::write_chrome_trace(path, trace_runs);
+  std::fprintf(stderr, "trace written to %s (%zu runs)\n", path.c_str(),
+               trace_runs.size());
+}
+
+/// A sweep bench's whole main(): flags, banner, the spec's jobs, its table
+/// and footer, the requested exports and the sweep's host-side cost.
+inline int run(int argc, char** argv, const Spec& spec) {
+  const Options opt = parse_args(argc, argv);
+  const exp::ExperimentConfig& cfg = opt.cfg;
+  std::printf(
+      "=== %s ===\npaper: %s\nrun: %llu warmup + %llu measured "
+      "instructions/core, seed %llu\n\n",
+      spec.title, spec.headline,
+      static_cast<unsigned long long>(cfg.warmup_instructions),
+      static_cast<unsigned long long>(cfg.measure_instructions),
+      static_cast<unsigned long long>(cfg.seed));
+  exp::Runner runner(cfg);
+  runner.run_all(spec.jobs);
+  const Output out = spec.render(runner);
+  std::printf("%s", out.table.to_string().c_str());
+  if (!opt.csv.empty()) {
+    out.table.write_csv(opt.csv);
+    std::fprintf(stderr, "csv written to %s\n", opt.csv.c_str());
+  }
+  if (!opt.stats_json.empty()) {
+    write_stats_json(opt.stats_json, spec.name, runner, out.table);
+  }
+  if (!opt.trace_out.empty()) write_trace(opt.trace_out, runner);
+  std::printf("%s", out.footer.c_str());
+  // Host-side cost goes to stderr, so stdout stays byte-identical across
+  // --jobs settings.
   const auto& t = runner.timing();
-  if (t.runs == 0) return;
   std::fprintf(stderr,
                "timing: %llu runs, %.2fs wall, %.2fs simulation, "
                "%llu events (%.2f Mevents/s per worker)\n",
                static_cast<unsigned long long>(t.runs), t.sweep_seconds,
                t.run_seconds, static_cast<unsigned long long>(t.events),
                t.events_per_second() / 1e6);
+  return 0;
 }
 
 }  // namespace camps::bench

@@ -8,52 +8,48 @@
 #include <string>
 #include <vector>
 #include "bench_common.hpp"
-#include "exp/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace camps;
-  const auto cfg = bench::parse_args(argc, argv);
-  bench::print_banner("Extension: weighted / harmonic speedup",
-                      "extension — fairness view of Fig. 5's gains", cfg);
-  exp::Runner runner(cfg);
+using namespace camps;
+using prefetch::SchemeKind;
 
-  const std::vector<prefetch::SchemeKind> schemes = {
-      prefetch::SchemeKind::kBase, prefetch::SchemeKind::kMmd,
-      prefetch::SchemeKind::kCampsMod};
-  const std::vector<std::string> workloads = {"HM2", "HM3", "LM2", "MX1",
-                                              "MX2"};
-  // Front-load the whole sweep: the mix runs plus every distinct
-  // (benchmark, scheme) solo run the fairness denominators need.
-  std::vector<exp::Runner::Job> jobs;
-  for (const auto& w : workloads) {
-    for (auto scheme : schemes) {
-      jobs.push_back({w, scheme, false});
-      for (u32 c = 0; c < workload::kCoresPerWorkload; ++c) {
-        jobs.push_back({workload::workload(w).benchmarks[c], scheme, true});
-      }
+const std::vector<SchemeKind> kSchemes = {
+    SchemeKind::kBase, SchemeKind::kMmd, SchemeKind::kCampsMod};
+const std::vector<std::string> kWorkloads = {"HM2", "HM3", "LM2", "MX1",
+                                             "MX2"};
+
+// The whole sweep: the mix runs plus every distinct (benchmark, scheme)
+// solo run the fairness denominators need.
+static std::vector<exp::Runner::Job> jobs() {
+  auto jobs = exp::Runner::cross(kWorkloads, kSchemes);
+  for (const auto& w : kWorkloads) {
+    for (const auto& benchmark : workload::workload(w).benchmarks) {
+      for (auto s : kSchemes) jobs.push_back({benchmark, s, {}, true});
     }
   }
-  runner.run_all(jobs);
+  return jobs;
+}
+
+static bench::Output render(exp::Runner& runner) {
   exp::Table table({"workload", "WS BASE", "WS MMD", "WS CAMPS-MOD",
                     "HS BASE", "HS MMD", "HS CAMPS-MOD"});
-  for (const auto& w : workloads) {
-    std::vector<std::string> row{w};
-    for (auto scheme : schemes) {
-      row.push_back(exp::Table::fmt(runner.weighted_speedup(w, scheme), 2));
-    }
-    for (auto scheme : schemes) {
-      row.push_back(exp::Table::fmt(runner.harmonic_speedup(w, scheme), 2));
+  for (const auto& w : kWorkloads) {
+    auto row = bench::row(w, kSchemes, [&](SchemeKind s) {
+      return exp::Table::fmt(runner.weighted_speedup(w, s), 2);
+    });
+    for (auto s : kSchemes) {
+      row.push_back(exp::Table::fmt(runner.harmonic_speedup(w, s), 2));
     }
     table.add_row(std::move(row));
   }
-  std::printf("%s", table.to_string().c_str());
-  bench::maybe_write_csv(table);
-  bench::maybe_write_stats_json("ext_fairness", runner, table);
-  bench::maybe_write_trace(runner);
-  std::printf(
-      "\nWS: weighted speedup, max %u (every job at solo speed).\n"
-      "HS: harmonic speedup, penalizes unfairness.\n",
-      workload::kCoresPerWorkload);
-  bench::report_timing(runner);
-  return 0;
+  return {std::move(table),
+          bench::format("\nWS: weighted speedup, max %u (every job at solo "
+                        "speed).\nHS: harmonic speedup, penalizes "
+                        "unfairness.\n",
+                        workload::kCoresPerWorkload)};
 }
+
+const bench::Spec kSpec = {
+    "ext_fairness", "Extension: weighted / harmonic speedup",
+    "extension — fairness view of Fig. 5's gains", jobs(), render};
+
+int main(int argc, char** argv) { return bench::run(argc, argv, kSpec); }

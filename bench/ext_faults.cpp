@@ -8,50 +8,32 @@
 // byte-identical across --jobs values.
 
 #include <string>
-#include <utility>
 #include <vector>
 #include "bench_common.hpp"
-#include "exp/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace camps;
-  const auto cfg = bench::parse_args(argc, argv);
-  bench::print_banner("Extension: fault-injection campaign",
-                      "extension — CAMPS-MOD under a CRC-1e-4 fault storm",
-                      cfg);
+using namespace camps;
+using prefetch::SchemeKind;
 
-  fault::FaultConfig campaign;
-  campaign.link_crc_rate = 1e-4;
-  campaign.vault_stall_rate = 1e-5;
-  campaign.vault_degrade_threshold = 16;
-  campaign.seed = cfg.seed;
+// The campaign, seeded from the run's workload seed.
+const exp::Variant kFaults = {"faults", [](system::SystemConfig& c) {
+                                c.hmc.fault.link_crc_rate = 1e-4;
+                                c.hmc.fault.vault_stall_rate = 1e-5;
+                                c.hmc.fault.vault_degrade_threshold = 16;
+                                c.hmc.fault.seed = c.seed;
+                              }};
 
-  const auto workloads = exp::Runner::all_workloads();
-  // Interleave clean/faulty per workload: run i*2 is the baseline, i*2+1
-  // the campaign. run_sims (not Runner) because the cache cannot key on
-  // the fault configuration.
-  std::vector<std::pair<system::SystemConfig, std::string>> sims;
-  for (const auto& w : workloads) {
-    system::SystemConfig clean =
-        cfg.system_config(prefetch::SchemeKind::kCampsMod);
-    sims.emplace_back(clean, w);
-    system::SystemConfig faulty = clean;
-    faulty.hmc.fault = campaign;
-    sims.emplace_back(faulty, w);
-  }
-  const auto results = bench::run_sims(cfg, sims);
-
+static bench::Output render(exp::Runner& runner) {
   exp::Table table({"workload", "IPC clean", "IPC fault", "dIPC %",
                     "injected", "replays", "retries", "poisoned", "flushes",
                     "rec p95 cyc"});
-  for (size_t i = 0; i < workloads.size(); ++i) {
-    const auto& clean = results[i * 2];
-    const auto& faulty = results[i * 2 + 1];
+  for (const auto& w : exp::Runner::all_workloads()) {
+    const auto& clean = runner.result(w, SchemeKind::kCampsMod);
+    const auto& faulty = runner.result(w, SchemeKind::kCampsMod, kFaults);
     const double dipc = clean.geomean_ipc > 0.0
                             ? (faulty.geomean_ipc / clean.geomean_ipc - 1.0) *
                                   100.0
                             : 0.0;
-    table.add_row({workloads[i], exp::Table::fmt(clean.geomean_ipc, 3),
+    table.add_row({w, exp::Table::fmt(clean.geomean_ipc, 3),
                    exp::Table::fmt(faulty.geomean_ipc, 3),
                    exp::Table::fmt(dipc, 2),
                    std::to_string(faulty.faults.injected()),
@@ -61,14 +43,18 @@ int main(int argc, char** argv) {
                    std::to_string(faulty.faults.degrade_flushes),
                    exp::Table::fmt(faulty.faults.recovery.p95, 0)});
   }
-  std::printf("%s", table.to_string().c_str());
-  bench::maybe_write_csv(table);
-  bench::maybe_write_stats_json("ext_faults", cfg,
-                                bench::named_results(sims, results), table);
-  bench::maybe_write_trace(bench::named_results(sims, results));
-  std::printf(
-      "\nEvery injected fault must reappear as a replay, retry, or poisoned\n"
-      "completion; run with --audit to additionally check the recovery\n"
-      "invariants (token conservation, RUT/CT hand-off) during the sweep.\n");
-  return 0;
+  return {std::move(table),
+          "\nEvery injected fault must reappear as a replay, retry, or "
+          "poisoned\ncompletion; run with --audit to additionally check the "
+          "recovery\ninvariants (token conservation, RUT/CT hand-off) during "
+          "the sweep.\n"};
 }
+
+const bench::Spec kSpec = {
+    "ext_faults", "Extension: fault-injection campaign",
+    "extension — CAMPS-MOD under a CRC-1e-4 fault storm",
+    // Each workload clean and under the campaign.
+    exp::Runner::cross(exp::Runner::all_workloads(), {SchemeKind::kCampsMod},
+                       {{}, kFaults}), render};
+
+int main(int argc, char** argv) { return bench::run(argc, argv, kSpec); }

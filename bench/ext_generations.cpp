@@ -6,58 +6,39 @@
 #include <string>
 #include <vector>
 #include "bench_common.hpp"
-#include "exp/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace camps;
-  const auto cfg = bench::parse_args(argc, argv);
-  bench::print_banner("Extension: HMC generation + link power management",
-                      "extension — gen1 (16 vaults) vs gen2 (32 vaults), "
-                      "link PM on/off",
-                      cfg);
+using namespace camps;
 
-  struct Variant {
-    const char* name;
-    bool gen1;
-    bool link_pm;
-  };
-  const std::vector<Variant> variants = {
-      {"gen2 (Table I)", false, false},
-      {"gen2 + link PM", false, true},
-      {"gen1", true, false},
-      {"gen1 + link PM", true, true},
-  };
+/// Gen1 cube geometry and link speed on top of the sweep's config (its
+/// fault campaign, tracing and audit settings stay).
+static void gen1(system::SystemConfig& c) {
+  const fault::FaultConfig fault = c.hmc.fault;
+  c.hmc = system::hmc_gen1_config(c.scheme).hmc;
+  c.hmc.fault = fault;
+}
 
-  const std::vector<std::string> workloads = {"HM2", "LM2"};
-  const std::vector<prefetch::SchemeKind> schemes = {
-      prefetch::SchemeKind::kNone, prefetch::SchemeKind::kCampsMod};
+static void link_pm(system::SystemConfig& c) {
+  c.hmc.link.power_management = true;
+}
 
-  std::vector<std::pair<system::SystemConfig, std::string>> sims;
-  for (const auto& workload : workloads) {
-    for (const auto& v : variants) {
-      for (auto scheme : schemes) {
-        system::SystemConfig sys_cfg =
-            v.gen1 ? system::hmc_gen1_config(scheme)
-                   : system::table1_config(scheme);
-        sys_cfg.core.warmup_instructions = cfg.warmup_instructions;
-        sys_cfg.core.measure_instructions = cfg.measure_instructions;
-        sys_cfg.seed = cfg.seed;
-        sys_cfg.hmc.link.power_management = v.link_pm;
-        sims.emplace_back(sys_cfg, workload);
-      }
-    }
-  }
-  const auto results = bench::run_sims(cfg, sims);
+const std::vector<std::string> kWorkloads = {"HM2", "LM2"};
+const std::vector<prefetch::SchemeKind> kSchemes = {
+    prefetch::SchemeKind::kNone, prefetch::SchemeKind::kCampsMod};
+const std::vector<exp::Variant> kGenerations = {
+    {"gen2 (Table I)", nullptr},
+    {"gen2 + link PM", link_pm},
+    {"gen1", gen1},
+    {"gen1 + link PM", [](system::SystemConfig& c) { gen1(c); link_pm(c); }},
+};
 
+static bench::Output render(exp::Runner& runner) {
   exp::Table table({"variant", "scheme", "IPC", "mem lat (cyc)",
                     "link util up", "wakeups"});
-  size_t next = 0;
-  for (const auto& workload : workloads) {
-    for (const auto& v : variants) {
-      for (auto scheme : schemes) {
-        const auto& r = results[next++];
-        table.add_row({std::string(v.name) + " / " + workload,
-                       prefetch::to_string(scheme),
+  for (const auto& w : kWorkloads) {
+    for (const auto& g : kGenerations) {
+      for (auto s : kSchemes) {
+        const auto& r = runner.result(w, s, g);
+        table.add_row({g.label + " / " + w, prefetch::to_string(s),
                        exp::Table::fmt(r.geomean_ipc),
                        exp::Table::fmt(r.mem_latency_cycles, 1),
                        exp::Table::pct(r.link_up_utilization),
@@ -65,10 +46,12 @@ int main(int argc, char** argv) {
       }
     }
   }
-  std::printf("%s", table.to_string().c_str());
-  bench::maybe_write_csv(table);
-  const auto named = bench::named_results(sims, results);
-  bench::maybe_write_stats_json("ext_generations", cfg, named, table);
-  bench::maybe_write_trace(named);
-  return 0;
+  return {std::move(table), ""};
 }
+
+const bench::Spec kSpec = {
+    "ext_generations", "Extension: HMC generation + link power management",
+    "extension — gen1 (16 vaults) vs gen2 (32 vaults), link PM on/off",
+    exp::Runner::cross(kWorkloads, kSchemes, kGenerations), render};
+
+int main(int argc, char** argv) { return bench::run(argc, argv, kSpec); }

@@ -8,53 +8,44 @@
 #include <string>
 #include <vector>
 #include "bench_common.hpp"
-#include "exp/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace camps;
-  const auto cfg = bench::parse_args(argc, argv);
-  bench::print_banner("Extension: STREAM vs CAMPS-MOD",
-                      "extension — quantifies the conflict-awareness gap",
-                      cfg);
-  exp::Runner runner(cfg);
+using namespace camps;
+using prefetch::SchemeKind;
 
-  const std::vector<prefetch::SchemeKind> schemes = {
-      prefetch::SchemeKind::kStream, prefetch::SchemeKind::kCamps,
-      prefetch::SchemeKind::kCampsMod};
-  auto warm = schemes;
-  warm.push_back(prefetch::SchemeKind::kBase);
-  runner.run_all(exp::Runner::all_workloads(), warm);
+const std::vector<SchemeKind> kSchemes = {
+    SchemeKind::kStream, SchemeKind::kCamps, SchemeKind::kCampsMod};
+
+static bench::Output render(exp::Runner& runner) {
   exp::Table table({"workload", "STREAM", "CAMPS", "CAMPS-MOD",
                     "STREAM accuracy", "CAMPS-MOD accuracy"});
   for (const auto& w : exp::Runner::all_workloads()) {
-    std::vector<std::string> row{w};
-    for (auto scheme : schemes) {
-      row.push_back(exp::Table::fmt(
-          runner.speedup(w, scheme, prefetch::SchemeKind::kBase)));
+    auto row = bench::row(w, kSchemes, [&](SchemeKind s) {
+      return exp::Table::fmt(runner.speedup(w, s, SchemeKind::kBase));
+    });
+    for (auto s : {SchemeKind::kStream, SchemeKind::kCampsMod}) {
+      row.push_back(exp::Table::pct(runner.result(w, s).prefetch_accuracy));
     }
-    row.push_back(exp::Table::pct(
-        runner.result(w, prefetch::SchemeKind::kStream).prefetch_accuracy));
-    row.push_back(exp::Table::pct(
-        runner.result(w, prefetch::SchemeKind::kCampsMod).prefetch_accuracy));
     table.add_row(std::move(row));
   }
   for (auto cls : {workload::WorkloadClass::kHM, workload::WorkloadClass::kLM,
                    workload::WorkloadClass::kMX}) {
-    std::vector<std::string> row{std::string(workload::to_string(cls)) +
-                                 "-avg"};
-    for (auto scheme : schemes) {
-      row.push_back(exp::Table::fmt(runner.mean_speedup(
-          exp::Runner::workloads_of(cls), scheme,
-          prefetch::SchemeKind::kBase)));
-    }
-    row.push_back("-");
-    row.push_back("-");
+    auto row = bench::row(
+        std::string(workload::to_string(cls)) + "-avg", kSchemes,
+        [&](SchemeKind s) {
+          return exp::Table::fmt(runner.mean_speedup(
+              exp::Runner::workloads_of(cls), s, SchemeKind::kBase));
+        });
+    row.insert(row.end(), {"-", "-"});
     table.add_row(std::move(row));
   }
-  std::printf("%s", table.to_string().c_str());
-  bench::maybe_write_csv(table);
-  bench::maybe_write_stats_json("ext_stream", runner, table);
-  bench::maybe_write_trace(runner);
-  bench::report_timing(runner);
-  return 0;
+  return {std::move(table), ""};
 }
+
+const bench::Spec kSpec = {
+    "ext_stream", "Extension: STREAM vs CAMPS-MOD",
+    "extension — quantifies the conflict-awareness gap",
+    exp::Runner::cross(exp::Runner::all_workloads(),
+                       {SchemeKind::kStream, SchemeKind::kCamps,
+                        SchemeKind::kCampsMod, SchemeKind::kBase}), render};
+
+int main(int argc, char** argv) { return bench::run(argc, argv, kSpec); }

@@ -7,63 +7,49 @@
 #include <string>
 #include <vector>
 #include "bench_common.hpp"
-#include "exp/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace camps;
-  const auto cfg = bench::parse_args(argc, argv);
-  bench::print_banner(
-      "Figure 5: normalized speedup over BASE",
-      "CAMPS-MOD avg +17.9% vs BASE, +16.8% vs BASE-HIT, +8.7% vs MMD", cfg);
-  exp::Runner runner(cfg);
+using namespace camps;
+using prefetch::SchemeKind;
 
+static bench::Output render(exp::Runner& runner) {
+  const auto all = exp::Runner::all_workloads();
   const auto schemes = prefetch::paper_schemes();
-  runner.run_all(exp::Runner::all_workloads(), schemes);
+  auto mean = [&](std::string label,
+                  const std::vector<std::string>& workloads) {
+    return bench::row(std::move(label), schemes, [&](SchemeKind s) {
+      return exp::Table::fmt(
+          runner.mean_speedup(workloads, s, SchemeKind::kBase));
+    });
+  };
   exp::Table table(
       {"workload", "BASE", "BASE-HIT", "MMD", "CAMPS", "CAMPS-MOD"});
-  for (const auto& w : exp::Runner::all_workloads()) {
-    std::vector<std::string> row{w};
-    for (auto scheme : schemes) {
-      row.push_back(exp::Table::fmt(
-          runner.speedup(w, scheme, prefetch::SchemeKind::kBase)));
-    }
-    table.add_row(std::move(row));
+  for (const auto& w : all) {
+    table.add_row(bench::row(w, schemes, [&](SchemeKind s) {
+      return exp::Table::fmt(runner.speedup(w, s, SchemeKind::kBase));
+    }));
   }
   // Class and overall geometric means (the paper's quoted aggregates).
   for (auto cls : {workload::WorkloadClass::kHM, workload::WorkloadClass::kLM,
                    workload::WorkloadClass::kMX}) {
-    std::vector<std::string> row{std::string(workload::to_string(cls)) +
-                                 "-avg"};
-    for (auto scheme : schemes) {
-      row.push_back(exp::Table::fmt(runner.mean_speedup(
-          exp::Runner::workloads_of(cls), scheme,
-          prefetch::SchemeKind::kBase)));
-    }
-    table.add_row(std::move(row));
+    table.add_row(mean(std::string(workload::to_string(cls)) + "-avg",
+                       exp::Runner::workloads_of(cls)));
   }
-  {
-    std::vector<std::string> row{"AVG"};
-    for (auto scheme : schemes) {
-      row.push_back(exp::Table::fmt(runner.mean_speedup(
-          exp::Runner::all_workloads(), scheme, prefetch::SchemeKind::kBase)));
-    }
-    table.add_row(std::move(row));
-  }
-  std::printf("%s", table.to_string().c_str());
-  bench::maybe_write_csv(table);
-  bench::maybe_write_stats_json("fig5_speedup", runner, table);
-  bench::maybe_write_trace(runner);
+  table.add_row(mean("AVG", all));
 
-  const double avg = runner.mean_speedup(exp::Runner::all_workloads(),
-                                         prefetch::SchemeKind::kCampsMod,
-                                         prefetch::SchemeKind::kBase);
-  const double vs_mmd = avg / runner.mean_speedup(exp::Runner::all_workloads(),
-                                                  prefetch::SchemeKind::kMmd,
-                                                  prefetch::SchemeKind::kBase);
-  std::printf(
-      "\nmeasured: CAMPS-MOD %+.1f%% vs BASE (paper +17.9%%), %+.1f%% vs MMD "
-      "(paper +8.7%%)\n",
-      (avg - 1.0) * 100.0, (vs_mmd - 1.0) * 100.0);
-  bench::report_timing(runner);
-  return 0;
+  const double avg =
+      runner.mean_speedup(all, SchemeKind::kCampsMod, SchemeKind::kBase);
+  const double vs_mmd =
+      avg / runner.mean_speedup(all, SchemeKind::kMmd, SchemeKind::kBase);
+  return {std::move(table),
+          bench::format("\nmeasured: CAMPS-MOD %+.1f%% vs BASE (paper "
+                        "+17.9%%), %+.1f%% vs MMD (paper +8.7%%)\n",
+                        (avg - 1.0) * 100.0, (vs_mmd - 1.0) * 100.0)};
 }
+
+const bench::Spec kSpec = {
+    "fig5_speedup", "Figure 5: normalized speedup over BASE",
+    "CAMPS-MOD avg +17.9% vs BASE, +16.8% vs BASE-HIT, +8.7% vs MMD",
+    exp::Runner::cross(exp::Runner::all_workloads(),
+                       prefetch::paper_schemes()), render};
+
+int main(int argc, char** argv) { return bench::run(argc, argv, kSpec); }

@@ -9,56 +9,44 @@
 #include <string>
 #include <vector>
 #include "bench_common.hpp"
-#include "exp/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace camps;
-  const auto cfg = bench::parse_args(argc, argv);
-  bench::print_banner(
-      "Figure 6: row-buffer conflict rate",
-      "CAMPS-MOD conflicts -16.3% vs BASE-HIT, -13.6% vs MMD", cfg);
-  exp::Runner runner(cfg);
+using namespace camps;
+using prefetch::SchemeKind;
 
-  const std::vector<prefetch::SchemeKind> schemes = {
-      prefetch::SchemeKind::kBaseHit, prefetch::SchemeKind::kMmd,
-      prefetch::SchemeKind::kCamps, prefetch::SchemeKind::kCampsMod};
-  auto warm = schemes;
-  warm.push_back(prefetch::SchemeKind::kBase);
-  runner.run_all(exp::Runner::all_workloads(), warm);
+// The compared schemes, then BASE as the sanity column.
+const std::vector<SchemeKind> kColumns = {
+    SchemeKind::kBaseHit, SchemeKind::kMmd, SchemeKind::kCamps,
+    SchemeKind::kCampsMod, SchemeKind::kBase};
+
+static bench::Output render(exp::Runner& runner) {
   exp::Table table({"workload", "BASE-HIT", "MMD", "CAMPS", "CAMPS-MOD",
                     "BASE (sanity)"});
-  std::map<prefetch::SchemeKind, double> conflict_sums;
+  std::map<SchemeKind, double> conflict_sums;
   for (const auto& w : exp::Runner::all_workloads()) {
-    std::vector<std::string> row{w};
-    for (auto scheme : schemes) {
-      const double rate = runner.result(w, scheme).row_conflict_rate;
-      conflict_sums[scheme] += rate;
-      row.push_back(exp::Table::pct(rate));
-    }
-    row.push_back(exp::Table::pct(
-        runner.result(w, prefetch::SchemeKind::kBase).row_conflict_rate));
-    table.add_row(std::move(row));
+    table.add_row(bench::row(w, kColumns, [&](SchemeKind s) {
+      const double rate = runner.result(w, s).row_conflict_rate;
+      conflict_sums[s] += rate;
+      return exp::Table::pct(rate);
+    }));
   }
-  {
-    std::vector<std::string> row{"AVG"};
-    for (auto scheme : schemes) {
-      row.push_back(exp::Table::pct(conflict_sums[scheme] / 12.0));
-    }
-    row.push_back("-");
-    table.add_row(std::move(row));
-  }
-  std::printf("%s", table.to_string().c_str());
-  bench::maybe_write_csv(table);
-  bench::maybe_write_stats_json("fig6_conflicts", runner, table);
-  bench::maybe_write_trace(runner);
+  table.add_row(bench::row("AVG", kColumns, [&](SchemeKind s) {
+    return s == SchemeKind::kBase ? "-"
+                                  : exp::Table::pct(conflict_sums[s] / 12.0);
+  }));
 
-  const double cmod = conflict_sums[prefetch::SchemeKind::kCampsMod];
-  const double bh = conflict_sums[prefetch::SchemeKind::kBaseHit];
-  const double mmd = conflict_sums[prefetch::SchemeKind::kMmd];
-  std::printf(
-      "\nmeasured: CAMPS-MOD conflict rate %+.1f%% vs BASE-HIT (paper "
-      "-16.3%%), %+.1f%% vs MMD (paper -13.6%%)\n",
-      (cmod / bh - 1.0) * 100.0, (cmod / mmd - 1.0) * 100.0);
-  bench::report_timing(runner);
-  return 0;
+  const double cmod = conflict_sums[SchemeKind::kCampsMod];
+  const double bh = conflict_sums[SchemeKind::kBaseHit];
+  const double mmd = conflict_sums[SchemeKind::kMmd];
+  return {std::move(table),
+          bench::format("\nmeasured: CAMPS-MOD conflict rate %+.1f%% vs "
+                        "BASE-HIT (paper -16.3%%), %+.1f%% vs MMD (paper "
+                        "-13.6%%)\n",
+                        (cmod / bh - 1.0) * 100.0, (cmod / mmd - 1.0) * 100.0)};
 }
+
+const bench::Spec kSpec = {
+    "fig6_conflicts", "Figure 6: row-buffer conflict rate",
+    "CAMPS-MOD conflicts -16.3% vs BASE-HIT, -13.6% vs MMD",
+    exp::Runner::cross(exp::Runner::all_workloads(), kColumns), render};
+
+int main(int argc, char** argv) { return bench::run(argc, argv, kSpec); }

@@ -9,49 +9,39 @@
 #include <string>
 #include <vector>
 #include "bench_common.hpp"
-#include "exp/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace camps;
-  const auto cfg = bench::parse_args(argc, argv);
-  bench::print_banner("Figure 7: prefetching accuracy",
-                      "CAMPS-MOD 70.5% avg; +33.3pp vs BASE, +4.1pp vs MMD",
-                      cfg);
-  exp::Runner runner(cfg);
+using namespace camps;
+using prefetch::SchemeKind;
 
+static bench::Output render(exp::Runner& runner) {
   const auto schemes = prefetch::paper_schemes();
-  runner.run_all(exp::Runner::all_workloads(), schemes);
   exp::Table table(
       {"workload", "BASE", "BASE-HIT", "MMD", "CAMPS", "CAMPS-MOD"});
-  std::map<prefetch::SchemeKind, double> sums;
+  std::map<SchemeKind, double> sums;
   for (const auto& w : exp::Runner::all_workloads()) {
-    std::vector<std::string> row{w};
-    for (auto scheme : schemes) {
-      const double acc = runner.result(w, scheme).prefetch_accuracy;
-      sums[scheme] += acc;
-      row.push_back(exp::Table::pct(acc));
-    }
-    table.add_row(std::move(row));
+    table.add_row(bench::row(w, schemes, [&](SchemeKind s) {
+      const double acc = runner.result(w, s).prefetch_accuracy;
+      sums[s] += acc;
+      return exp::Table::pct(acc);
+    }));
   }
-  {
-    std::vector<std::string> row{"AVG"};
-    for (auto scheme : schemes) {
-      row.push_back(exp::Table::pct(sums[scheme] / 12.0));
-    }
-    table.add_row(std::move(row));
-  }
-  std::printf("%s", table.to_string().c_str());
-  bench::maybe_write_csv(table);
-  bench::maybe_write_stats_json("fig7_accuracy", runner, table);
-  bench::maybe_write_trace(runner);
-  std::printf(
-      "\nmeasured averages: BASE %.1f%%, BASE-HIT %.1f%%, MMD %.1f%%, CAMPS "
-      "%.1f%%, CAMPS-MOD %.1f%%\n",
-      sums[prefetch::SchemeKind::kBase] / 12.0 * 100,
-      sums[prefetch::SchemeKind::kBaseHit] / 12.0 * 100,
-      sums[prefetch::SchemeKind::kMmd] / 12.0 * 100,
-      sums[prefetch::SchemeKind::kCamps] / 12.0 * 100,
-      sums[prefetch::SchemeKind::kCampsMod] / 12.0 * 100);
-  bench::report_timing(runner);
-  return 0;
+  table.add_row(bench::row("AVG", schemes, [&](SchemeKind s) {
+    return exp::Table::pct(sums[s] / 12.0);
+  }));
+  return {std::move(table),
+          bench::format("\nmeasured averages: BASE %.1f%%, BASE-HIT %.1f%%, "
+                        "MMD %.1f%%, CAMPS %.1f%%, CAMPS-MOD %.1f%%\n",
+                        sums[SchemeKind::kBase] / 12.0 * 100,
+                        sums[SchemeKind::kBaseHit] / 12.0 * 100,
+                        sums[SchemeKind::kMmd] / 12.0 * 100,
+                        sums[SchemeKind::kCamps] / 12.0 * 100,
+                        sums[SchemeKind::kCampsMod] / 12.0 * 100)};
 }
+
+const bench::Spec kSpec = {
+    "fig7_accuracy", "Figure 7: prefetching accuracy",
+    "CAMPS-MOD 70.5% avg; +33.3pp vs BASE, +4.1pp vs MMD",
+    exp::Runner::cross(exp::Runner::all_workloads(),
+                       prefetch::paper_schemes()), render};
+
+int main(int argc, char** argv) { return bench::run(argc, argv, kSpec); }

@@ -4,28 +4,18 @@
 // Paper headline: CAMPS-MOD reduces AMAT by 26% vs BASE and is 16.3% ahead
 // of MMD on this metric.
 #include "bench_common.hpp"
-#include "exp/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace camps;
-  const auto cfg = bench::parse_args(argc, argv);
-  bench::print_banner("Figure 8: AMAT reduction vs BASE",
-                      "CAMPS-MOD -26% AMAT vs BASE; 16.3% better than MMD",
-                      cfg);
-  exp::Runner runner(cfg);
-  runner.run_all(exp::Runner::all_workloads(),
-                 {prefetch::SchemeKind::kBase, prefetch::SchemeKind::kMmd,
-                  prefetch::SchemeKind::kCampsMod});
+using namespace camps;
+using prefetch::SchemeKind;
 
+static bench::Output render(exp::Runner& runner) {
   exp::Table table({"workload", "BASE AMAT (cyc)", "MMD reduction",
                     "CAMPS-MOD reduction"});
   double mmd_sum = 0.0, cmod_sum = 0.0;
   for (const auto& w : exp::Runner::all_workloads()) {
-    const double base =
-        runner.result(w, prefetch::SchemeKind::kBase).amat_cycles;
-    const double mmd = runner.result(w, prefetch::SchemeKind::kMmd).amat_cycles;
-    const double cmod =
-        runner.result(w, prefetch::SchemeKind::kCampsMod).amat_cycles;
+    const double base = runner.result(w, SchemeKind::kBase).amat_cycles;
+    const double mmd = runner.result(w, SchemeKind::kMmd).amat_cycles;
+    const double cmod = runner.result(w, SchemeKind::kCampsMod).amat_cycles;
     const double mmd_red = 1.0 - mmd / base;
     const double cmod_red = 1.0 - cmod / base;
     mmd_sum += mmd_red;
@@ -35,13 +25,17 @@ int main(int argc, char** argv) {
   }
   table.add_row({"AVG", "-", exp::Table::pct(mmd_sum / 12.0),
                  exp::Table::pct(cmod_sum / 12.0)});
-  std::printf("%s", table.to_string().c_str());
-  bench::maybe_write_csv(table);
-  bench::maybe_write_stats_json("fig8_amat", runner, table);
-  bench::maybe_write_trace(runner);
-  std::printf(
-      "\nmeasured: CAMPS-MOD AMAT reduction %.1f%% (paper 26%%), MMD %.1f%%\n",
-      cmod_sum / 12.0 * 100.0, mmd_sum / 12.0 * 100.0);
-  bench::report_timing(runner);
-  return 0;
+  return {std::move(table),
+          bench::format("\nmeasured: CAMPS-MOD AMAT reduction %.1f%% (paper "
+                        "26%%), MMD %.1f%%\n",
+                        cmod_sum / 12.0 * 100.0, mmd_sum / 12.0 * 100.0)};
 }
+
+const bench::Spec kSpec = {
+    "fig8_amat", "Figure 8: AMAT reduction vs BASE",
+    "CAMPS-MOD -26% AMAT vs BASE; 16.3% better than MMD",
+    exp::Runner::cross(
+        exp::Runner::all_workloads(),
+        {SchemeKind::kBase, SchemeKind::kMmd, SchemeKind::kCampsMod}), render};
+
+int main(int argc, char** argv) { return bench::run(argc, argv, kSpec); }

@@ -5,43 +5,38 @@
 // BASE, mainly from fewer activate/precharge operations and fewer wasted
 // whole-row moves.
 #include "bench_common.hpp"
-#include "exp/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace camps;
-  const auto cfg = bench::parse_args(argc, argv);
-  bench::print_banner("Figure 9: HMC energy normalized to BASE",
-                      "MMD -6.0%, CAMPS-MOD -8.5% vs BASE", cfg);
-  exp::Runner runner(cfg);
-  runner.run_all(exp::Runner::all_workloads(),
-                 {prefetch::SchemeKind::kBase, prefetch::SchemeKind::kMmd,
-                  prefetch::SchemeKind::kCampsMod});
+using namespace camps;
+using prefetch::SchemeKind;
 
+static bench::Output render(exp::Runner& runner) {
   exp::Table table({"workload", "BASE", "MMD", "CAMPS-MOD"});
   double mmd_sum = 0.0, cmod_sum = 0.0;
   for (const auto& w : exp::Runner::all_workloads()) {
     // Energy is compared per unit of work: the runs execute the same
     // instruction budget, so total measured-window energy is comparable.
-    const double base = runner.result(w, prefetch::SchemeKind::kBase).energy_pj;
-    const double mmd =
-        runner.result(w, prefetch::SchemeKind::kMmd).energy_pj / base;
+    const double base = runner.result(w, SchemeKind::kBase).energy_pj;
+    const double mmd = runner.result(w, SchemeKind::kMmd).energy_pj / base;
     const double cmod =
-        runner.result(w, prefetch::SchemeKind::kCampsMod).energy_pj / base;
+        runner.result(w, SchemeKind::kCampsMod).energy_pj / base;
     mmd_sum += mmd;
     cmod_sum += cmod;
-    table.add_row(
-        {w, "1.000", exp::Table::fmt(mmd), exp::Table::fmt(cmod)});
+    table.add_row({w, "1.000", exp::Table::fmt(mmd), exp::Table::fmt(cmod)});
   }
   table.add_row({"AVG", "1.000", exp::Table::fmt(mmd_sum / 12.0),
                  exp::Table::fmt(cmod_sum / 12.0)});
-  std::printf("%s", table.to_string().c_str());
-  bench::maybe_write_csv(table);
-  bench::maybe_write_stats_json("fig9_energy", runner, table);
-  bench::maybe_write_trace(runner);
-  std::printf(
-      "\nmeasured: MMD %.1f%% (paper -6.0%%), CAMPS-MOD %.1f%% (paper -8.5%%) "
-      "vs BASE\n",
-      (mmd_sum / 12.0 - 1.0) * 100.0, (cmod_sum / 12.0 - 1.0) * 100.0);
-  bench::report_timing(runner);
-  return 0;
+  return {std::move(table),
+          bench::format("\nmeasured: MMD %.1f%% (paper -6.0%%), CAMPS-MOD "
+                        "%.1f%% (paper -8.5%%) vs BASE\n",
+                        (mmd_sum / 12.0 - 1.0) * 100.0,
+                        (cmod_sum / 12.0 - 1.0) * 100.0)};
 }
+
+const bench::Spec kSpec = {
+    "fig9_energy", "Figure 9: HMC energy normalized to BASE",
+    "MMD -6.0%, CAMPS-MOD -8.5% vs BASE",
+    exp::Runner::cross(
+        exp::Runner::all_workloads(),
+        {SchemeKind::kBase, SchemeKind::kMmd, SchemeKind::kCampsMod}), render};
+
+int main(int argc, char** argv) { return bench::run(argc, argv, kSpec); }

@@ -5,18 +5,10 @@
 
 #include <string>
 #include "bench_common.hpp"
-#include "exp/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace camps;
-  auto cfg = bench::parse_args(argc, argv);
-  bench::print_banner("Table II: SPEC CPU2006 benchmark sets",
-                      "12 workloads: HM1-4 (MPKI>=20), LM1-4 (1<=MPKI<20), "
-                      "MX1-4 (four HM + four LM)",
-                      cfg);
-  exp::Runner runner(cfg);
-  runner.run_all(exp::Runner::all_workloads(), {prefetch::SchemeKind::kNone});
+using namespace camps;
 
+static bench::Output render(exp::Runner& runner) {
   exp::Table table({"ID", "class", "benchmarks", "measured MPKI"});
   for (const auto& w : workload::table2_workloads()) {
     std::string names;
@@ -24,15 +16,18 @@ int main(int argc, char** argv) {
       if (c) names += ", ";
       names += w.benchmarks[c];
     }
-    const double mpki =
-        runner.result(w.id, prefetch::SchemeKind::kNone).mpki;
+    const double mpki = runner.result(w.id, prefetch::SchemeKind::kNone).mpki;
     table.add_row({w.id, workload::to_string(w.cls), names,
                    exp::Table::fmt(mpki, 1)});
   }
-  std::printf("%s", table.to_string().c_str());
-  bench::maybe_write_csv(table);
-  bench::maybe_write_stats_json("table2_workloads", runner, table);
-  bench::maybe_write_trace(runner);
-  bench::report_timing(runner);
-  return 0;
+  return {std::move(table), ""};
 }
+
+const bench::Spec kSpec = {
+    "table2_workloads", "Table II: SPEC CPU2006 benchmark sets",
+    "12 workloads: HM1-4 (MPKI>=20), LM1-4 (1<=MPKI<20), MX1-4 (four HM + "
+    "four LM)",
+    exp::Runner::cross(exp::Runner::all_workloads(),
+                       {prefetch::SchemeKind::kNone}), render};
+
+int main(int argc, char** argv) { return bench::run(argc, argv, kSpec); }

@@ -5,8 +5,8 @@
 #
 # Extra args are passed to every figure/table bench; --jobs=N runs each
 # bench's simulations on N worker threads (tables are byte-identical for any
-# N, so parallelism is purely a wall-clock lever). The micro-benchmarks
-# take their own flags and are special-cased.
+# N, so parallelism is purely a wall-clock lever). The google-benchmark
+# micro-benchmarks take their own flags and are special-cased.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,8 +21,6 @@ shift || true
       # google-benchmark >= 1.8 wants a unit suffix; older versions reject it.
       "$b" --benchmark_min_time=0.05s 2>/dev/null ||
         "$b" --benchmark_min_time=0.05
-    elif [ "$name" = bench_micro_event_queue ]; then
-      "$b" --events=5000000
     else
       "$b" --quiet "$@"
     fi

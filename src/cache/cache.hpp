@@ -20,6 +20,8 @@ struct CacheConfig {
 
   u64 sets() const { return size_bytes / (line_bytes * ways); }
   bool valid() const;
+
+  bool operator==(const CacheConfig&) const = default;
 };
 
 /// A line evicted to make room (victim of a fill).

@@ -48,6 +48,8 @@ struct HierarchyConfig {
   /// cores' own outstanding-load windows bound demand); a finite value
   /// defers excess misses until an outstanding fetch completes.
   u32 mshr_entries = 0;
+
+  bool operator==(const HierarchyConfig&) const = default;
 };
 
 class CacheHierarchy final {

@@ -37,6 +37,8 @@ struct CoreConfig {
   u32 max_outstanding_loads = 8;
   u64 warmup_instructions = 100'000;
   u64 measure_instructions = 1'000'000;
+
+  bool operator==(const CoreConfig&) const = default;
 };
 
 class Core {

@@ -35,6 +35,8 @@ struct TimingParams {
   /// Returns true when the parameter set is internally consistent (e.g. a
   /// row can actually be read within tRAS).
   bool valid() const;
+
+  bool operator==(const TimingParams&) const = default;
 };
 
 /// DDR3-1600-like defaults matching Table I.

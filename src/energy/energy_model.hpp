@@ -48,6 +48,8 @@ struct EnergyParams {
   };
   /// Background/static power of the whole cube, in watts.
   double background_watts = 0.5;
+
+  bool operator==(const EnergyParams&) const = default;
 };
 
 /// Accumulates event counts; converts to energy on demand.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -57,122 +59,116 @@ std::vector<system::RunResults> run_parallel(std::vector<SimFn> sims,
 
 Runner::Runner(const ExperimentConfig& config) : cfg_(config) {}
 
-SimFn Runner::make_sim(const Job& job) const {
+std::string Runner::run_name(const Key& key) {
+  std::string name = key.first + "/" + prefetch::to_string(key.second);
+  if (!key.variant.empty()) name += "@" + key.variant;
+  return name;
+}
+
+SimFn Runner::make_sim(const Job& job,
+                       const system::SystemConfig& sys_cfg) const {
   // Everything a worker needs is captured by value; the only state a sim
   // touches afterwards is its own System.
-  if (job.solo) {
-    system::SystemConfig sys_cfg = cfg_.system_config(job.scheme);
-    sys_cfg.cores = 1;
-    const u64 seed = cfg_.seed;
-    const std::string benchmark = job.workload;
-    const bool verbose = cfg_.verbose;
-    return [sys_cfg, seed, benchmark, verbose] {
-      if (verbose) {
-        progress_line("[run] %s (solo) / %s ...", benchmark.c_str(),
-                      prefetch::to_string(sys_cfg.scheme));
-      }
-      const auto& profile = trace::benchmark(benchmark);
+  const std::string name = run_name(job.key()) + (job.solo ? " (solo)" : "");
+  return [sys_cfg, workload = job.workload, solo = job.solo,
+          seed = cfg_.seed, name, verbose = cfg_.verbose] {
+    if (verbose) progress_line("[run] %s ...", name.c_str());
+    std::unique_ptr<system::System> sys;
+    if (solo) {
       std::vector<std::unique_ptr<trace::TraceSource>> sources;
-      sources.push_back(
-          profile.make_source(seed * 1000003 + 1, sys_cfg.pattern_geometry()));
-      system::System sys(sys_cfg, std::move(sources));
-      return sys.run();
-    };
-  }
-  const system::SystemConfig sys_cfg = cfg_.system_config(job.scheme);
-  const std::string workload = job.workload;
-  const bool verbose = cfg_.verbose;
-  return [sys_cfg, workload, verbose] {
-    if (verbose) {
-      progress_line("[run] %s / %s ...", workload.c_str(),
-                    prefetch::to_string(sys_cfg.scheme));
+      sources.push_back(trace::benchmark(workload).make_source(
+          seed * 1000003 + 1, sys_cfg.pattern_geometry()));
+      sys = std::make_unique<system::System>(sys_cfg, std::move(sources));
+    } else {
+      sys = system::make_workload_system(sys_cfg, workload);
     }
-    auto results = system::make_workload_system(sys_cfg, workload)->run();
+    auto results = sys->run();
     if (results.partial && verbose) {
-      progress_line("[run] %s / %s hit the cycle bound (partial)",
-                    workload.c_str(), prefetch::to_string(sys_cfg.scheme));
+      progress_line("[run] %s hit the cycle bound (partial)", name.c_str());
     }
     return results;
   };
 }
 
 void Runner::run_all(const std::vector<Job>& jobs) {
-  // Deduplicate and drop cache hits, preserving first-seen order.
-  std::vector<Job> todo;
+  // Record each new key's SystemConfig and drop repeats, preserving
+  // first-seen order. A repeat must rebuild the same config: a label
+  // reused with a different edit would otherwise read the other run.
+  std::vector<std::pair<const Job*, const system::SystemConfig*>> todo;
   for (const auto& job : jobs) {
-    const auto key = std::make_pair(job.workload, job.scheme);
-    const bool cached =
-        job.solo ? solo_cache_.count(key) != 0 : cache_.count(key) != 0;
-    if (cached) continue;
-    bool seen = false;
-    for (const auto& t : todo) {
-      if (t.solo == job.solo && t.scheme == job.scheme &&
-          t.workload == job.workload) {
-        seen = true;
-        break;
-      }
+    system::SystemConfig sys_cfg = cfg_.system_config(job.scheme);
+    if (job.variant.edit) job.variant.edit(sys_cfg);
+    if (job.solo) sys_cfg.cores = 1;
+    const auto [it, inserted] =
+        built_.try_emplace({job.solo, job.key()}, std::move(sys_cfg));
+    if (inserted) {
+      todo.emplace_back(&job, &it->second);
+    } else if (!(it->second == sys_cfg)) {
+      std::fprintf(stderr,
+                   "exp::Runner: %s requested with a different SystemConfig "
+                   "than its cached run\n",
+                   run_name(job.key()).c_str());
+      std::abort();
     }
-    if (!seen) todo.push_back(job);
   }
   if (todo.empty()) return;
 
   const auto sweep_start = std::chrono::steady_clock::now();
   std::vector<SimFn> sims;
   sims.reserve(todo.size());
-  for (const auto& job : todo) sims.push_back(make_sim(job));
+  for (const auto& [job, sys_cfg] : todo) {
+    sims.push_back(make_sim(*job, *sys_cfg));
+  }
   auto results = run_parallel(std::move(sims), cfg_.jobs);
 
   // Merge on the calling thread: by here every worker is done, so the
   // cache never sees concurrent writers and a key is inserted exactly once.
   for (size_t i = 0; i < todo.size(); ++i) {
+    const Job& job = *todo[i].first;
     timing_.runs += 1;
     timing_.events += results[i].events_executed;
     timing_.run_seconds += results[i].wall_seconds;
-    const auto key = std::make_pair(todo[i].workload, todo[i].scheme);
-    if (todo[i].solo) {
-      solo_cache_.emplace(key, results[i].cores[0].ipc);
+    if (job.solo) {
+      solo_cache_.emplace(job.key(), results[i].cores[0].ipc);
     } else {
-      cache_.emplace(key, std::move(results[i]));
+      cache_.emplace(job.key(), std::move(results[i]));
     }
   }
   timing_.sweep_seconds += seconds_since(sweep_start);
-
-  if (cfg_.verbose) {
-    const u32 jobs_used =
-        cfg_.jobs == 0 ? ThreadPool::default_threads() : cfg_.jobs;
-    progress_line(
-        "[sweep] %llu runs: %.1fs wall at jobs=%u (%.1fs of simulation, "
-        "%.2f Mevents/s per worker)",
-        static_cast<unsigned long long>(todo.size()),
-        seconds_since(sweep_start), jobs_used,
-        timing_.run_seconds, timing_.events_per_second() / 1e6);
-  }
 }
 
 void Runner::run_all(const std::vector<std::string>& workloads,
                      const std::vector<prefetch::SchemeKind>& schemes) {
+  run_all(cross(workloads, schemes));
+}
+
+std::vector<Runner::Job> Runner::cross(
+    const std::vector<std::string>& workloads,
+    const std::vector<prefetch::SchemeKind>& schemes,
+    const std::vector<Variant>& variants) {
   std::vector<Job> jobs;
-  jobs.reserve(workloads.size() * schemes.size());
   for (const auto& w : workloads) {
-    for (auto scheme : schemes) jobs.push_back(Job{w, scheme, false});
+    for (auto scheme : schemes) {
+      for (const auto& v : variants) jobs.push_back(Job{w, scheme, v});
+    }
   }
-  run_all(jobs);
+  return jobs;
 }
 
 const system::RunResults& Runner::result(const std::string& workload,
-                                         prefetch::SchemeKind scheme) {
-  const auto key = std::make_pair(workload, scheme);
-  auto it = cache_.find(key);
-  if (it != cache_.end()) return it->second;
-  run_all(std::vector<Job>{Job{workload, scheme, false}});
-  return cache_.at(key);
+                                         prefetch::SchemeKind scheme,
+                                         const Variant& variant) {
+  const Job job{workload, scheme, variant};
+  run_all({job});
+  return cache_.at(job.key());
 }
 
 double Runner::speedup(const std::string& workload,
                        prefetch::SchemeKind scheme,
-                       prefetch::SchemeKind baseline) {
+                       prefetch::SchemeKind baseline,
+                       const Variant& variant) {
   const double base_ipc = result(workload, baseline).geomean_ipc;
-  const double ipc = result(workload, scheme).geomean_ipc;
+  const double ipc = result(workload, scheme, variant).geomean_ipc;
   return base_ipc <= 0.0 ? 0.0 : ipc / base_ipc;
 }
 
@@ -189,11 +185,8 @@ double Runner::mean_speedup(const std::vector<std::string>& workloads,
 
 double Runner::solo_ipc(const std::string& benchmark,
                         prefetch::SchemeKind scheme) {
-  const auto key = std::make_pair(benchmark, scheme);
-  auto it = solo_cache_.find(key);
-  if (it != solo_cache_.end()) return it->second;
-  run_all(std::vector<Job>{Job{benchmark, scheme, true}});
-  return solo_cache_.at(key);
+  run_all({Job{benchmark, scheme, {}, true}});
+  return solo_cache_.at(Key(benchmark, scheme));
 }
 
 double Runner::weighted_speedup(const std::string& workload,

@@ -1,6 +1,8 @@
-// Experiment runner: executes (workload x scheme) simulations, caches the
-// results in-process, and offers the normalizations the paper's figures
-// report (speedup vs BASE, geometric means per workload class).
+// Experiment runner: executes (workload x scheme x variant) simulations,
+// caches the results in-process, and offers the normalizations the paper's
+// figures report (speedup vs BASE, geometric means per workload class).
+// run_all() is the only way to run a sweep: every figure, ablation and
+// extension bench is a list of Jobs through it.
 //
 // Sweeps parallelize across simulations: run_all() fans independent runs
 // out over a thread pool (each run owns a private System; nothing mutable
@@ -9,9 +11,11 @@
 // scheduling order — so jobs=N and jobs=1 produce identical tables.
 #pragma once
 
+#include <compare>
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_config.hpp"
@@ -71,34 +75,72 @@ struct SweepTiming {
   }
 };
 
+/// An ablation point: `edit` applied on top of
+/// ExperimentConfig::system_config(scheme), named by a short `label`
+/// ("threshold=4"). The default (empty label, no edit) is the Table I point.
+struct Variant {
+  std::string label;
+  std::function<void(system::SystemConfig&)> edit;
+};
+
 class Runner {
  public:
   explicit Runner(const ExperimentConfig& config = {});
+
+  /// Cache key of a run: `first` is the workload, `second` the scheme (the
+  /// key before variants existed, so `results().at({w, scheme})` still
+  /// finds a default run) and `variant` its Variant's label.
+  struct Key : std::pair<std::string, prefetch::SchemeKind> {
+    Key(std::string workload, prefetch::SchemeKind scheme,
+        std::string variant_label = {})
+        : pair(std::move(workload), scheme),
+          variant(std::move(variant_label)) {}
+    std::string variant;
+    auto operator<=>(const Key&) const = default;
+  };
 
   /// One unit of sweep work. `workload` is a Table II id, or a single
   /// benchmark name when `solo` is set (the fairness-metric denominator).
   struct Job {
     std::string workload;
     prefetch::SchemeKind scheme;
+    Variant variant = {};
     bool solo = false;
+    Key key() const { return {workload, scheme, variant.label}; }
   };
+
+  /// "workload/SCHEME", plus "@label" for a non-default variant: the run's
+  /// name in --stats-json, --trace-out and progress lines.
+  static std::string run_name(const Key& key);
 
   /// Runs every not-yet-cached job in parallel (config().jobs workers) and
   /// caches the results. Later result()/speedup()/solo_ipc() calls on these
   /// keys are cache hits, so benches front-load their whole sweep here.
+  /// A key requested again with a SystemConfig that differs from its cached
+  /// run's (one label, two edits) aborts: the cache never returns the
+  /// wrong run.
   void run_all(const std::vector<Job>& jobs);
 
   /// Convenience: the (workloads x schemes) cross product.
   void run_all(const std::vector<std::string>& workloads,
                const std::vector<prefetch::SchemeKind>& schemes);
 
-  /// Runs (or returns the cached) simulation of `workload` under `scheme`.
-  const system::RunResults& result(const std::string& workload,
-                                   prefetch::SchemeKind scheme);
+  /// The (workloads x schemes x variants) jobs, workload-major.
+  static std::vector<Job> cross(
+      const std::vector<std::string>& workloads,
+      const std::vector<prefetch::SchemeKind>& schemes,
+      const std::vector<Variant>& variants = {Variant{}});
 
-  /// Speedup of `scheme` over `baseline` on one workload (IPC geomeans).
+  /// Runs (or returns the cached) simulation of `workload` under `scheme`
+  /// and `variant`.
+  const system::RunResults& result(const std::string& workload,
+                                   prefetch::SchemeKind scheme,
+                                   const Variant& variant = {});
+
+  /// Speedup of `scheme` under `variant` over the default `baseline` run
+  /// on one workload (IPC geomeans).
   double speedup(const std::string& workload, prefetch::SchemeKind scheme,
-                 prefetch::SchemeKind baseline);
+                 prefetch::SchemeKind baseline, const Variant& variant = {});
 
   /// Geometric mean of per-workload speedups across `workloads`.
   double mean_speedup(const std::vector<std::string>& workloads,
@@ -125,11 +167,11 @@ class Runner {
   /// Accumulated host-side cost of every simulation this runner executed.
   const SweepTiming& timing() const { return timing_; }
 
-  using Cache = std::map<std::pair<std::string, prefetch::SchemeKind>,
-                         system::RunResults>;
+  using Cache = std::map<Key, system::RunResults>;
 
-  /// Every cached (workload, scheme) -> results entry, in deterministic map
-  /// order. The exporters (--stats-json, --trace-out) iterate this.
+  /// Every cached (workload, scheme, variant) -> results entry, in
+  /// deterministic map order. The exporters (--stats-json, --trace-out)
+  /// iterate this.
   const Cache& results() const { return cache_; }
 
   /// All Table II ids, in paper order.
@@ -139,12 +181,14 @@ class Runner {
 
  private:
   /// Builds the simulation closure for one uncached job.
-  SimFn make_sim(const Job& job) const;
+  SimFn make_sim(const Job& job, const system::SystemConfig& sys_cfg) const;
 
   ExperimentConfig cfg_;
   SweepTiming timing_;
   Cache cache_;
-  std::map<std::pair<std::string, prefetch::SchemeKind>, double> solo_cache_;
+  std::map<Key, double> solo_cache_;
+  /// The SystemConfig of every requested run, keyed by (solo, key).
+  std::map<std::pair<bool, Key>, system::SystemConfig> built_;
 };
 
 }  // namespace camps::exp

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -98,10 +96,7 @@ std::string Table::to_json(int indent) const {
 }
 
 void Table::write_csv(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot create CSV file: " + path);
-  out << to_csv();
-  if (!out.flush()) throw std::runtime_error("write failure: " + path);
+  write_text_file(path, to_csv());
 }
 
 std::string Table::fmt(double value, int precision) {

@@ -37,6 +37,8 @@ struct TargetedFault {
   Site site = Site::kLinkDownCrc;
   u32 unit = 0;
   u64 sequence = 0;
+
+  bool operator==(const TargetedFault&) const = default;
 };
 
 struct FaultConfig {
@@ -73,6 +75,8 @@ struct FaultConfig {
   u64 seed = 1;
 
   std::vector<TargetedFault> targeted;
+
+  bool operator==(const FaultConfig&) const = default;
 
   /// True when any fault machinery must be active. Everything downstream
   /// (timeout events, token accounting, plan lookups) is gated on this so

@@ -52,6 +52,8 @@ struct HmcGeometry {
   }
   /// All dimensions must be powers of two for bit-sliced decoding.
   bool valid() const;
+
+  bool operator==(const HmcGeometry&) const = default;
 };
 
 struct DecodedAddr {

@@ -26,6 +26,8 @@ struct CrossbarParams {
   /// Minimum spacing between packets delivered to the same output port,
   /// in ticks (default: one 800 MHz controller cycle).
   Tick port_interval_ticks = 30;
+
+  bool operator==(const CrossbarParams&) const = default;
 };
 
 class Crossbar {

@@ -33,6 +33,8 @@ struct HmcConfig {
   /// a null-pointer check — behaviour and event counts are bit-identical
   /// to a build without the subsystem.
   fault::FaultConfig fault;
+
+  bool operator==(const HmcConfig&) const = default;
 };
 
 /// Whole-device sums over the vaults: the Fig. 6 and Fig. 7 aggregates.

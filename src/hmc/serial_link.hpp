@@ -55,6 +55,8 @@ struct LinkParams {
   bool power_management = false;
   Tick sleep_timeout = 24 * 100;  ///< 100 ns of idleness.
   Tick wake_ticks = 24 * 40;      ///< 40 ns SerDes retrain.
+
+  bool operator==(const LinkParams&) const = default;
 };
 
 /// One direction of one link: a bandwidth-limited FIFO pipe.

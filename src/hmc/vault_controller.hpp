@@ -63,6 +63,8 @@ struct VaultConfig {
   /// the wide internal TSVs instead, so the default is false — the copy
   /// only occupies the *bank*. Enable for the bandwidth-coupling ablation.
   bool row_fetch_uses_bus = false;
+
+  bool operator==(const VaultConfig&) const = default;
 };
 
 class VaultController final {

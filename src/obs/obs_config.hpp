@@ -14,6 +14,8 @@ struct ObsConfig {
   /// Epoch sampling interval in ticks; 0 disables the sampler. 2 M ticks ≈
   /// 83 µs of simulated time ≈ a few hundred samples on a bench-scale run.
   Tick epoch_ticks = 0;
+
+  bool operator==(const ObsConfig&) const = default;
 };
 
 }  // namespace camps::obs

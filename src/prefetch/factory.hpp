@@ -36,6 +36,8 @@ struct SchemeParams {
   MmdParams mmd;
   StreamParams stream;
   u32 base_hit_min_hits = 2;
+
+  bool operator==(const SchemeParams&) const = default;
 };
 
 /// Builds a fresh scheme instance (call once per vault).

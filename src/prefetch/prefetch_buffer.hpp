@@ -26,6 +26,8 @@ struct PrefetchBufferConfig {
   u32 entries = 16;        ///< 16 KB / 1 KB rows.
   u32 lines_per_row = 16;  ///< 1 KB row / 64 B lines. Must be <= 64.
   u64 hit_latency = 22;    ///< Vault-controller cycles to serve a hit.
+
+  bool operator==(const PrefetchBufferConfig&) const = default;
 };
 
 /// Outcome of inserting a row (possibly evicting another).

@@ -36,6 +36,8 @@ struct CampsParams {
   u32 utilization_threshold = 4;
   /// CAMPS-MOD: use the utilization+recency buffer replacement.
   bool modified_replacement = false;
+
+  bool operator==(const CampsParams&) const = default;
 };
 
 class CampsScheme final : public PrefetchScheme {

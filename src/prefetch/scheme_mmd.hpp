@@ -32,6 +32,8 @@ struct MmdParams {
   double raise_threshold = 0.65;///< Usefulness above this: degree++.
   double lower_threshold = 0.45;///< Usefulness below this: degree--.
   u32 probe_interval = 128;     ///< Demand misses before re-probing at 0.
+
+  bool operator==(const MmdParams&) const = default;
 };
 
 class MmdScheme final : public PrefetchScheme {

@@ -22,6 +22,8 @@ struct StreamParams {
   u32 banks = 16;
   u32 confidence_threshold = 2;  ///< Same-direction steps to confirm.
   u32 degree = 2;                ///< Rows prefetched ahead once confirmed.
+
+  bool operator==(const StreamParams&) const = default;
 };
 
 class StreamScheme final : public PrefetchScheme {

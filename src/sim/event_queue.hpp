@@ -11,7 +11,8 @@
 // are late events; sim/event_tags.hpp owns their unit numbering and
 // documents the resulting same-tick order (docs/simulation-model.md).
 //
-// Two hot-path design choices (see bench/micro_event_queue.cpp):
+// Two hot-path design choices (perfbench's sim.queue_micro_events_per_s
+// times them at the queue depth real runs reach):
 //  * Event is a small-buffer-optimized functor: captures up to
 //    Event::kInlineCapacity bytes live inside the event record, so the
 //    common vault/core/cache callbacks never touch the heap. Larger or

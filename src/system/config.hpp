@@ -36,6 +36,8 @@ struct SystemConfig {
 
   /// Per-core physical address slice in bytes (cube capacity / cores).
   u64 core_slice_bytes() const;
+
+  bool operator==(const SystemConfig&) const = default;
 };
 
 /// Table I defaults with the given scheme.

@@ -117,27 +117,70 @@ void expect_bit_identical(const system::RunResults& a,
   EXPECT_EQ(a.events_executed, b.events_executed);
 }
 
+/// An ablation point: CAMPS's RUT threshold at `t` (Table I uses 4).
+Variant rut_threshold(u32 t) {
+  return {"threshold=" + std::to_string(t), [t](system::SystemConfig& c) {
+            c.scheme_params.camps.utilization_threshold = t;
+          }};
+}
+
 TEST(Runner, ParallelSweepBitIdenticalToSerial) {
   const std::vector<std::string> workloads = {"LM1", "HM1"};
   const std::vector<prefetch::SchemeKind> schemes = {
       prefetch::SchemeKind::kNone, prefetch::SchemeKind::kCampsMod};
+  auto jobs = Runner::cross(workloads, schemes);
+  jobs.push_back({"HM1", prefetch::SchemeKind::kCampsMod, rut_threshold(1)});
 
   ExperimentConfig serial_cfg = tiny();
   serial_cfg.jobs = 1;
   Runner serial(serial_cfg);
-  serial.run_all(workloads, schemes);
+  serial.run_all(jobs);
 
   ExperimentConfig parallel_cfg = tiny();
   parallel_cfg.jobs = 4;
   Runner parallel(parallel_cfg);
-  parallel.run_all(workloads, schemes);
+  parallel.run_all(jobs);
 
-  for (const auto& w : workloads) {
-    for (auto s : schemes) {
-      SCOPED_TRACE(w + "/" + prefetch::to_string(s));
-      expect_bit_identical(serial.result(w, s), parallel.result(w, s));
-    }
+  ASSERT_EQ(serial.results().size(), jobs.size());
+  for (const auto& job : jobs) {
+    SCOPED_TRACE(Runner::run_name(job.key()));
+    expect_bit_identical(serial.results().at(job.key()),
+                         parallel.results().at(job.key()));
   }
+}
+
+TEST(Runner, VariantIsCachedApartFromTheDefaultRun) {
+  Runner runner(tiny());
+  const auto scheme = prefetch::SchemeKind::kCampsMod;
+  runner.run_all({{"LM1", scheme}, {"LM1", scheme, rut_threshold(1)}});
+  EXPECT_EQ(runner.timing().runs, 2u);
+  ASSERT_EQ(runner.results().size(), 2u);
+  const auto& table1 = runner.results().at({"LM1", scheme});
+  const auto& variant = runner.results().at({"LM1", scheme, "threshold=1"});
+  EXPECT_EQ(&runner.result("LM1", scheme), &table1);
+  EXPECT_EQ(&runner.result("LM1", scheme, rut_threshold(1)), &variant);
+  EXPECT_GT(variant.prefetches, table1.prefetches)
+      << "a lower RUT threshold fetches more rows";
+  EXPECT_EQ(Runner::run_name({"LM1", scheme, "threshold=1"}),
+            "LM1/CAMPS-MOD@threshold=1");
+  // Requesting both again, with the same edit, runs nothing.
+  runner.run_all({{"LM1", scheme}, {"LM1", scheme, rut_threshold(1)}});
+  EXPECT_EQ(runner.timing().runs, 2u);
+}
+
+TEST(RunnerDeathTest, CachedKeyWithADifferentConfigAborts) {
+  ExperimentConfig cfg = tiny();
+  cfg.jobs = 1;
+  Runner runner(cfg);
+  const auto scheme = prefetch::SchemeKind::kCampsMod;
+  runner.run_all({{"LM1", scheme, rut_threshold(1)}});
+  // The same label with another edit names a different simulation.
+  Variant relabelled = rut_threshold(2);
+  relabelled.label = "threshold=1";
+  EXPECT_DEATH(runner.run_all({{"LM1", scheme, relabelled}}),
+               "LM1/CAMPS-MOD@threshold=1 requested with a different "
+               "SystemConfig");
+  EXPECT_DEATH(runner.result("LM1", scheme, relabelled), "different");
 }
 
 TEST(Runner, FaultCampaignBitIdenticalAcrossJobs) {

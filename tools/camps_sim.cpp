@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/json.hpp"
 #include "common/log.hpp"
 #include "obs/chrome_trace.hpp"
@@ -91,6 +92,12 @@ int main(int argc, char** argv) {
     auto value = [&](const char* prefix) -> const char* {
       return arg.c_str() + std::strlen(prefix);
     };
+    auto number = [&](const char* prefix) {
+      return cli::parse_u64(argv[0], arg, std::strlen(prefix), usage);
+    };
+    auto rate = [&](const char* prefix) {
+      return cli::parse_double(argv[0], arg, std::strlen(prefix), usage);
+    };
     if (arg.rfind("--workload=", 0) == 0) {
       workload = value("--workload=");
     } else if (arg.rfind("--scheme=", 0) == 0) {
@@ -98,19 +105,19 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--config=", 0) == 0) {
       config_path = value("--config=");
     } else if (arg.rfind("--warmup=", 0) == 0) {
-      warmup = std::strtoull(value("--warmup="), nullptr, 10);
+      warmup = number("--warmup=");
       have_warmup = true;
     } else if (arg.rfind("--measure=", 0) == 0) {
-      measure = std::strtoull(value("--measure="), nullptr, 10);
+      measure = number("--measure=");
       have_measure = true;
     } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = std::strtoull(value("--seed="), nullptr, 10);
+      seed = number("--seed=");
       have_seed = true;
     } else if (arg == "--audit") {
       audit_every = 100'000;
       have_audit = true;
     } else if (arg.rfind("--audit-every=", 0) == 0) {
-      audit_every = std::strtoull(value("--audit-every="), nullptr, 10);
+      audit_every = number("--audit-every=");
       have_audit = true;
     } else if (arg == "--stats") {
       dump_stats = true;
@@ -121,63 +128,41 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--trace-out=", 0) == 0) {
       trace_out_path = value("--trace-out=");
     } else if (arg.rfind("--trace-cap=", 0) == 0) {
-      trace_cap = std::strtoull(value("--trace-cap="), nullptr, 10);
+      trace_cap = number("--trace-cap=");
     } else if (arg.rfind("--epoch-ticks=", 0) == 0) {
-      epoch_ticks = std::strtoull(value("--epoch-ticks="), nullptr, 10);
+      epoch_ticks = number("--epoch-ticks=");
     } else if (arg.rfind("--epoch-csv=", 0) == 0) {
       epoch_csv_path = value("--epoch-csv=");
     } else if (arg.rfind("--epoch-json=", 0) == 0) {
       epoch_json_path = value("--epoch-json=");
     } else if (arg.rfind("--fault-rate=", 0) == 0) {
-      fault_cfg.link_crc_rate = std::strtod(value("--fault-rate="), nullptr);
+      fault_cfg.link_crc_rate = rate("--fault-rate=");
       have_fault = true;
     } else if (arg.rfind("--fault-link-drop=", 0) == 0) {
-      fault_cfg.link_drop_rate =
-          std::strtod(value("--fault-link-drop="), nullptr);
+      fault_cfg.link_drop_rate = rate("--fault-link-drop=");
       have_fault = true;
     } else if (arg.rfind("--fault-xbar-drop=", 0) == 0) {
-      fault_cfg.xbar_drop_rate =
-          std::strtod(value("--fault-xbar-drop="), nullptr);
+      fault_cfg.xbar_drop_rate = rate("--fault-xbar-drop=");
       have_fault = true;
     } else if (arg.rfind("--fault-vault-stall=", 0) == 0) {
-      fault_cfg.vault_stall_rate =
-          std::strtod(value("--fault-vault-stall="), nullptr);
+      fault_cfg.vault_stall_rate = rate("--fault-vault-stall=");
       have_fault = true;
     } else if (arg.rfind("--fault-seed=", 0) == 0) {
-      fault_cfg.seed = std::strtoull(value("--fault-seed="), nullptr, 10);
+      fault_cfg.seed = number("--fault-seed=");
       have_fault = true;
     } else if (arg.rfind("--fault-retry-budget=", 0) == 0) {
-      fault_cfg.host_retry_budget = static_cast<u32>(
-          std::strtoul(value("--fault-retry-budget="), nullptr, 10));
+      fault_cfg.host_retry_budget =
+          static_cast<u32>(number("--fault-retry-budget="));
       have_fault = true;
     } else if (arg.rfind("--fault-degrade-threshold=", 0) == 0) {
-      fault_cfg.vault_degrade_threshold = static_cast<u32>(
-          std::strtoul(value("--fault-degrade-threshold="), nullptr, 10));
+      fault_cfg.vault_degrade_threshold =
+          static_cast<u32>(number("--fault-degrade-threshold="));
       have_fault = true;
     } else if (arg.rfind("--fault-tokens=", 0) == 0) {
-      fault_cfg.link_tokens = static_cast<u32>(
-          std::strtoul(value("--fault-tokens="), nullptr, 10));
+      fault_cfg.link_tokens = static_cast<u32>(number("--fault-tokens="));
       have_fault = true;
     } else if (arg.rfind("--log-level=", 0) == 0) {
-      const std::string level = value("--log-level=");
-      if (level == "trace") {
-        set_log_level(LogLevel::kTrace);
-      } else if (level == "debug") {
-        set_log_level(LogLevel::kDebug);
-      } else if (level == "info") {
-        set_log_level(LogLevel::kInfo);
-      } else if (level == "warn") {
-        set_log_level(LogLevel::kWarn);
-      } else if (level == "error") {
-        set_log_level(LogLevel::kError);
-      } else {
-        std::fprintf(stderr,
-                     "--log-level expects trace|debug|info|warn|error, "
-                     "got \"%s\"\n",
-                     level.c_str());
-        usage(argv[0]);
-        return 2;
-      }
+      set_log_level(cli::parse_log_level(argv[0], arg, 12, usage));
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
