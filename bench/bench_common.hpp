@@ -133,7 +133,7 @@ inline Options parse_args(int argc, char** argv) {
     } else if (arg == "--audit") {
       cfg.audit_every = 100'000;
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      cfg.jobs = static_cast<u32>(number(7));
+      cfg.jobs = cli::parse_u32(argv0, arg, 7, print_usage);
     } else if (arg == "--quiet") {
       cfg.verbose = false;
     } else if (arg.rfind("--csv=", 0) == 0) {
@@ -143,7 +143,7 @@ inline Options parse_args(int argc, char** argv) {
     } else if (arg.rfind("--trace-out=", 0) == 0) {
       opt.trace_out = arg.substr(12);
     } else if (arg.rfind("--trace-cap=", 0) == 0) {
-      cfg.obs.trace_capacity = static_cast<u32>(number(12));
+      cfg.obs.trace_capacity = cli::parse_u32(argv0, arg, 12, print_usage);
     } else if (arg.rfind("--log-level=", 0) == 0) {
       set_log_level(cli::parse_log_level(argv0, arg, 12, print_usage));
     } else if (arg == "--help") {

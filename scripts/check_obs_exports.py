@@ -4,6 +4,7 @@
 Usage:
   scripts/check_obs_exports.py STATS_JSON TRACE_JSON
   scripts/check_obs_exports.py --sim SIM_STATS_JSON
+  scripts/check_obs_exports.py --epochs EPOCH_CSV EPOCH_JSON
 
 Validates that a bench's --stats-json document is well-formed and complete
 (config, table, per-run results with the latency breakdown, no wall-clock
@@ -13,9 +14,18 @@ is a loadable Chrome trace with spans from every instrumented component.
 With --sim, validates a camps_sim --stats-json document instead: every
 registry histogram must report min <= p50 <= p95 <= p99 <= max, and every
 latency stage (plus the fault recovery stage, when present) must be ordered
-and lie within its registry histogram's [min, max]. Exits non-zero with a
-message on the first violation.
+and lie within its registry histogram's [min, max]. The registry must hold
+exactly "counters" and "histograms", each results.faults.<name> counter
+must equal registry counter "fault.<name>", and results.faults.injected
+must be the sum of the four injection counters.
+
+With --epochs, validates a camps_sim --epoch-csv file against the
+--epoch-json file of the same run: the CSV header must equal every JSON
+sample's keys, in order, and each CSV row must agree with its sample.
+
+Exits non-zero with a message on the first violation.
 """
+import csv
 import json
 import sys
 
@@ -126,12 +136,63 @@ def check_sim(path):
             fail(f"{path}: stage {name} has no registry histogram")
         if h["count"] > 0:
             check_ordered(f"{path}: stage {name}", stage, h["min"], h["max"])
+    if set(doc["registry"]) != {"counters", "histograms"}:
+        fail(f"{path}: registry sections {sorted(doc['registry'])} != "
+             "['counters', 'histograms']")
+    check_fault_counters(path, results.get("faults"),
+                         doc["registry"]["counters"])
     print(f"check_obs_exports: {path} OK ({len(sampled)} histograms)")
+
+
+def check_fault_counters(path, faults, counters):
+    """Each results.faults counter is its registry counter fault.<name>."""
+    if faults is None:
+        return
+    for name, value in faults.items():
+        if name in ("injected", "recovery"):
+            continue
+        registry = counters.get(f"fault.{name}")
+        if registry != value:
+            fail(f"{path}: results.faults.{name} = {value} but registry "
+                 f"counter fault.{name} = {registry}")
+    injected = sum(faults[k] for k in
+                   ("crc_errors", "link_drops", "xbar_drops", "vault_stalls"))
+    if faults["injected"] != injected:
+        fail(f"{path}: results.faults.injected = {faults['injected']} but "
+             f"its four injection counters sum to {injected}")
+
+
+def check_epochs(csv_path, json_path):
+    with open(csv_path, newline="") as f:
+        header, *rows = list(csv.reader(f))
+    with open(json_path) as f:
+        samples = json.load(f)["samples"]
+    if not samples:
+        fail(f"{json_path}: no epoch samples")
+    if len(rows) != len(samples):
+        fail(f"{csv_path}: {len(rows)} rows but {json_path} has "
+             f"{len(samples)} samples")
+    for i, (row, sample) in enumerate(zip(rows, samples)):
+        if list(sample) != header:
+            fail(f"{json_path}: sample {i} keys {list(sample)} != CSV "
+                 f"header {header}")
+        if len(row) != len(header):
+            fail(f"{csv_path}: row {i} has {len(row)} cells for "
+                 f"{len(header)} columns")
+        for name, cell in zip(header, row):
+            if json.loads(cell) != sample[name]:
+                fail(f"{csv_path}: row {i} {name} = {cell} but the JSON "
+                     f"sample has {sample[name]}")
+    print(f"check_obs_exports: {csv_path} matches {json_path} "
+          f"({len(samples)} samples, {len(header)} columns)")
 
 
 def main():
     if len(sys.argv) == 3 and sys.argv[1] == "--sim":
         check_sim(sys.argv[2])
+        return 0
+    if len(sys.argv) == 4 and sys.argv[1] == "--epochs":
+        check_epochs(sys.argv[2], sys.argv[3])
         return 0
     if len(sys.argv) != 3:
         print(__doc__)

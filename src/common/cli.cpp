@@ -40,6 +40,11 @@ u64 parse_u64(const char* argv0, const std::string& arg, size_t prefix_len,
   return parse_whole<u64>(argv0, arg, prefix_len, "a number", usage);
 }
 
+u32 parse_u32(const char* argv0, const std::string& arg, size_t prefix_len,
+              UsageFn usage) {
+  return parse_whole<u32>(argv0, arg, prefix_len, "a 32-bit number", usage);
+}
+
 double parse_double(const char* argv0, const std::string& arg,
                     size_t prefix_len, UsageFn usage) {
   return parse_whole<double>(argv0, arg, prefix_len, "a number", usage);

@@ -22,6 +22,10 @@ using UsageFn = void (*)(const char* argv0);
 u64 parse_u64(const char* argv0, const std::string& arg, size_t prefix_len,
               UsageFn usage);
 
+/// Like parse_u64 for a u32 field: a value that does not fit is fatal.
+u32 parse_u32(const char* argv0, const std::string& arg, size_t prefix_len,
+              UsageFn usage);
+
 /// Like parse_u64 for a decimal or exponent-form real ("0.001", "1e-4").
 double parse_double(const char* argv0, const std::string& arg,
                     size_t prefix_len, UsageFn usage);

@@ -1,7 +1,6 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <sstream>
 #include <string>
 
@@ -30,20 +29,6 @@ void Histogram::reset() {
   count_ = sum_ = min_ = max_ = 0;
 }
 
-void Histogram::merge_from(const Histogram& other) {
-  if (other.count_ == 0) return;
-  if (other.buckets_.size() > buckets_.size()) {
-    buckets_.resize(other.buckets_.size(), 0);
-  }
-  for (size_t i = 0; i < other.buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  min_ = count_ == 0 ? other.min_ : std::min(min_, other.min_);
-  max_ = count_ == 0 ? other.max_ : std::max(max_, other.max_);
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
 Counter& StatRegistry::counter(const std::string& name) {
   return counters_[name];
 }
@@ -52,41 +37,14 @@ Histogram& StatRegistry::histogram(const std::string& name) {
   return histograms_[name];
 }
 
-void StatRegistry::add_formula(const std::string& name,
-                               std::function<double()> fn) {
-  formulas_[name] = std::move(fn);
-}
-
 u64 StatRegistry::counter_value(const std::string& name) const {
   auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second.value();
 }
 
-bool StatRegistry::has_counter(const std::string& name) const {
-  return counters_.count(name) != 0;
-}
-
 const Histogram* StatRegistry::find_histogram(const std::string& name) const {
   auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : &it->second;
-}
-
-u64 StatRegistry::sum_matching(const std::string& pattern) const {
-  const auto star = pattern.find('*');
-  if (star == std::string::npos) return counter_value(pattern);
-  const std::string prefix = pattern.substr(0, star);
-  const std::string suffix = pattern.substr(star + 1);
-  u64 total = 0;
-  // counters_ is sorted; jump to the first key >= prefix.
-  for (auto it = counters_.lower_bound(prefix); it != counters_.end(); ++it) {
-    const std::string& name = it->first;
-    if (name.compare(0, prefix.size(), prefix) != 0) break;
-    if (name.size() >= prefix.size() + suffix.size() &&
-        name.compare(name.size() - suffix.size(), suffix.size(), suffix) == 0) {
-      total += it->second.value();
-    }
-  }
-  return total;
 }
 
 std::string StatRegistry::dump() const {
@@ -98,9 +56,6 @@ std::string StatRegistry::dump() const {
     out << name << " = {count=" << h.count() << " mean=" << h.mean()
         << " min=" << h.min() << " max=" << h.max()
         << " p50=" << h.percentile(50) << " p99=" << h.percentile(99) << "}\n";
-  }
-  for (const auto& [name, fn] : formulas_) {
-    out << name << " = " << fn() << '\n';
   }
   return out.str();
 }
@@ -128,10 +83,6 @@ std::string StatRegistry::dump_json(int indent) const {
     w.end_object();
   }
   w.end_object();
-  w.key("formulas");
-  w.begin_object();
-  for (const auto& [name, fn] : formulas_) w.field(name, fn());
-  w.end_object();
   w.end_object();
   return w.str();
 }
@@ -139,15 +90,6 @@ std::string StatRegistry::dump_json(int indent) const {
 void StatRegistry::reset() {
   for (auto& [_, c] : counters_) c.reset();
   for (auto& [_, h] : histograms_) h.reset();
-}
-
-void StatRegistry::merge_from(const StatRegistry& other) {
-  for (const auto& [name, c] : other.counters_) {
-    counters_[name].merge_from(c);
-  }
-  for (const auto& [name, h] : other.histograms_) {
-    histograms_[name].merge_from(h);
-  }
 }
 
 }  // namespace camps

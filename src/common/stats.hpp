@@ -2,15 +2,14 @@
 //
 // Every simulator component registers named counters and histograms with a
 // StatRegistry and keeps only references to them: the registry holds the
-// one copy of each metric. The registry renders a stable, alphabetically
-// sorted dump and supports derived "formula" stats evaluated at dump time
-// (e.g. IPC, prefetch accuracy) so the raw counters stay cheap on the hot
-// path.
+// one copy of each metric, and each name is spelled once, at its producer
+// (camps_lint's stats-once rule). Derived quantities (IPC, prefetch
+// accuracy, ...) are computed by their consumers, e.g. RunResults; the
+// registry only renders a stable, alphabetically sorted dump.
 #pragma once
 
 #include <bit>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -26,9 +25,6 @@ class Counter {
   u64 value() const { return value_; }
   void reset() { value_ = 0; }
 
-  /// Adds `other`'s count to this one (for cross-instance aggregation).
-  void merge_from(const Counter& other) { value_ += other.value_; }
-
  private:
   u64 value_ = 0;
 };
@@ -36,8 +32,8 @@ class Counter {
 /// Log-linear histogram in the style of HdrHistogram: values below
 /// 2 * kSubBuckets are recorded exactly, and above that each power of two
 /// [2^e, 2^(e+1)) splits into kSubBuckets equal linear buckets. Every
-/// histogram shares this one layout, so any two merge; there is no overflow
-/// bucket, and storage grows only up to the largest sample seen. Tracks
+/// histogram shares this one layout; there is no overflow bucket, and
+/// storage grows only up to the largest sample seen. Tracks
 /// count/sum/min/max exactly.
 class Histogram {
  public:
@@ -73,9 +69,6 @@ class Histogram {
   double percentile(double p) const;
   void reset();
 
-  /// Adds `other`'s samples: the result equals sampling both inputs.
-  void merge_from(const Histogram& other);
-
  private:
   /// Bucket of `value`: the top kSubBits+1 significant bits, offset by the
   /// octave. Values below 2 * kSubBuckets map to themselves.
@@ -99,12 +92,8 @@ class StatRegistry {
   Counter& counter(const std::string& name);
   Histogram& histogram(const std::string& name);
 
-  /// Derived value computed at dump time from other stats.
-  void add_formula(const std::string& name, std::function<double()> fn);
-
   /// Returns the counter value, or 0 if it was never registered.
   u64 counter_value(const std::string& name) const;
-  bool has_counter(const std::string& name) const;
 
   /// Registered histogram by exact name, or nullptr. Never creates.
   const Histogram* find_histogram(const std::string& name) const;
@@ -113,36 +102,20 @@ class StatRegistry {
     return histograms_;
   }
 
-  /// Sum of all counters whose name matches `prefix*suffix` with a single
-  /// '*' wildcard in `pattern` (or exact match when no '*'). Used to
-  /// aggregate per-vault counters into device totals.
-  u64 sum_matching(const std::string& pattern) const;
-
   /// Renders "name = value" lines, sorted by name.
   std::string dump() const;
 
   /// Machine-readable registry dump: {"counters": {...}, "histograms":
-  /// {name: {count,sum,min,max,mean,p50,p95,p99}},
-  /// "formulas": {...}}. Names sort alphabetically and doubles render
-  /// shortest-round-trip, so the output is byte-stable across runs and
-  /// --jobs settings (see common/json.hpp).
+  /// {name: {count,sum,min,max,mean,p50,p95,p99}}}. Names sort
+  /// alphabetically and doubles render shortest-round-trip, so the output
+  /// is byte-stable across runs and --jobs settings (see common/json.hpp).
   std::string dump_json(int indent = 0) const;
 
   void reset();
 
-  /// Folds every counter and histogram of `other` into this registry,
-  /// creating entries that don't exist yet. Counters and histograms add.
-  /// Formulas are NOT merged: they capture references into their own
-  /// registry, so each System re-registers them.
-  /// This is what makes per-worker registries safe to aggregate after a
-  /// parallel sweep without double-counting — each worker owns a private
-  /// registry and the merge happens exactly once, under the caller's lock.
-  void merge_from(const StatRegistry& other);
-
  private:
   std::map<std::string, Counter> counters_;
   std::map<std::string, Histogram> histograms_;
-  std::map<std::string, std::function<double()>> formulas_;
 };
 
 }  // namespace camps

@@ -58,13 +58,7 @@ class FaultPlan final {
   void count_degrade_flush() { c_degrade_flushes_.inc(); }
   void count_token_stall_ticks(Tick ticks) { c_token_stall_ticks_.inc(ticks); }
 
-  u64 host_retries() const { return c_host_retries_.value(); }
-  u64 host_poisoned() const { return c_host_poisoned_.value(); }
-  /// Faults injected so far, summed over every mechanism.
-  u64 injected() const {
-    return c_crc_errors_.value() + c_link_drops_.value() +
-           c_xbar_drops_.value() + c_vault_stalls_.value();
-  }
+  const Histogram& recovery() const { return h_recovery_; }
 
  private:
   double rate_for(Site site) const;

@@ -158,14 +158,4 @@ void HostController::reset_stats() {
   device_.reset_stats();
 }
 
-u64 HostController::reads_poisoned() const {
-  const fault::FaultPlan* plan = device_.fault_plan();
-  return plan == nullptr ? 0 : plan->host_poisoned();
-}
-
-u64 HostController::retries_issued() const {
-  const fault::FaultPlan* plan = device_.fault_plan();
-  return plan == nullptr ? 0 : plan->host_retries();
-}
-
 }  // namespace camps::hmc

@@ -51,12 +51,6 @@ class HostController final {
   u64 reads_issued() const { return reads_; }
   u64 writes_issued() const { return writes_; }
   u64 reads_completed() const { return h_lat_total_read_.count(); }
-  /// Reads completed with the poison marker after retry exhaustion
-  /// (fault.host_poisoned; 0 without a fault plan).
-  u64 reads_poisoned() const;
-  /// Timeout-driven re-issues, each consuming one unit of retry budget
-  /// (fault.host_retries; 0 without a fault plan).
-  u64 retries_issued() const;
   /// Mean read latency in CPU cycles (submission -> delivery).
   double mean_read_latency_cycles() const { return h_lat_total_read_.mean(); }
   const Histogram& latency_histogram() const { return h_lat_total_read_; }

@@ -2,6 +2,8 @@
 
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -32,19 +34,22 @@ void EpochSampler::fire() {
 
 std::string EpochSampler::series_csv(const std::vector<EpochSample>& samples) {
   std::ostringstream out;
-  out << "tick,row_hits,row_empties,row_conflicts,row_conflict_rate,"
-         "prefetches_issued,prefetch_accuracy,buffer_hits,buffer_misses,"
-         "buffer_hit_rate,buffer_occupancy,link_down_busy_ticks,"
-         "link_up_busy_ticks,demand_reads,demand_writes\n";
+  const char* sep = "";
+  EpochSample{}.for_each_field([&](const char* name, auto) {
+    out << std::exchange(sep, ",") << name;
+  });
   for (const EpochSample& s : samples) {
-    out << s.tick << ',' << s.row_hits << ',' << s.row_empties << ','
-        << s.row_conflicts << ',' << json_double(s.row_conflict_rate) << ','
-        << s.prefetches_issued << ',' << json_double(s.prefetch_accuracy)
-        << ',' << s.buffer_hits << ',' << s.buffer_misses << ','
-        << json_double(s.buffer_hit_rate) << ',' << s.buffer_occupancy << ','
-        << s.link_down_busy_ticks << ',' << s.link_up_busy_ticks << ','
-        << s.demand_reads << ',' << s.demand_writes << '\n';
+    sep = "\n";
+    s.for_each_field([&](const char*, auto value) {
+      out << std::exchange(sep, ",");
+      if constexpr (std::is_floating_point_v<decltype(value)>) {
+        out << json_double(value);
+      } else {
+        out << value;
+      }
+    });
   }
+  out << '\n';
   return out.str();
 }
 
@@ -57,34 +62,13 @@ std::string EpochSampler::series_json(const std::vector<EpochSample>& samples,
   w.begin_array();
   for (const EpochSample& s : samples) {
     w.begin_object();
-    w.field("tick", s.tick);
-    w.field("row_hits", s.row_hits);
-    w.field("row_empties", s.row_empties);
-    w.field("row_conflicts", s.row_conflicts);
-    w.field("row_conflict_rate", s.row_conflict_rate);
-    w.field("prefetches_issued", s.prefetches_issued);
-    w.field("prefetch_accuracy", s.prefetch_accuracy);
-    w.field("buffer_hits", s.buffer_hits);
-    w.field("buffer_misses", s.buffer_misses);
-    w.field("buffer_hit_rate", s.buffer_hit_rate);
-    w.field("buffer_occupancy", s.buffer_occupancy);
-    w.field("link_down_busy_ticks", s.link_down_busy_ticks);
-    w.field("link_up_busy_ticks", s.link_up_busy_ticks);
-    w.field("demand_reads", s.demand_reads);
-    w.field("demand_writes", s.demand_writes);
+    s.for_each_field(
+        [&w](const char* name, auto value) { w.field(name, value); });
     w.end_object();
   }
   w.end_array();
   w.end_object();
   return w.str();
-}
-
-void EpochSampler::write_csv(const std::string& path) const {
-  write_text_file(path, to_csv());
-}
-
-void EpochSampler::write_json(const std::string& path) const {
-  write_text_file(path, to_json(2));
 }
 
 }  // namespace camps::obs

@@ -38,6 +38,27 @@ struct EpochSample {
   Tick link_up_busy_ticks = 0;
   u64 demand_reads = 0;
   u64 demand_writes = 0;
+
+  /// Calls f(name, value) for every field in column order: the one list
+  /// the CSV header, the CSV rows and the JSON objects are generated from.
+  template <typename F>
+  void for_each_field(F&& f) const {
+    f("tick", tick);
+    f("row_hits", row_hits);
+    f("row_empties", row_empties);
+    f("row_conflicts", row_conflicts);
+    f("row_conflict_rate", row_conflict_rate);
+    f("prefetches_issued", prefetches_issued);
+    f("prefetch_accuracy", prefetch_accuracy);
+    f("buffer_hits", buffer_hits);
+    f("buffer_misses", buffer_misses);
+    f("buffer_hit_rate", buffer_hit_rate);
+    f("buffer_occupancy", buffer_occupancy);
+    f("link_down_busy_ticks", link_down_busy_ticks);
+    f("link_up_busy_ticks", link_up_busy_ticks);
+    f("demand_reads", demand_reads);
+    f("demand_writes", demand_writes);
+  }
 };
 
 class EpochSampler {
@@ -55,21 +76,12 @@ class EpochSampler {
 
   const std::vector<EpochSample>& samples() const { return samples_; }
 
-  /// CSV rendering, one fixed header row plus one row per epoch.
-  std::string to_csv() const { return series_csv(samples_); }
-  /// JSON rendering: {"epoch_ticks": N, "samples": [{...}, ...]}.
-  std::string to_json(int indent = 0) const {
-    return series_json(samples_, epoch_ticks_, indent);
-  }
-
-  // Static variants for callers holding a sample vector without a sampler
-  // (RunResults carries the series across the sweep cache).
+  // Static: RunResults carries a series across the sweep cache, sampler-less.
+  /// CSV: one header row plus one row per epoch.
   static std::string series_csv(const std::vector<EpochSample>& samples);
+  /// JSON: {"epoch_ticks": N, "samples": [{...}, ...]}.
   static std::string series_json(const std::vector<EpochSample>& samples,
                                  Tick epoch_ticks, int indent = 0);
-
-  void write_csv(const std::string& path) const;
-  void write_json(const std::string& path) const;
 
  private:
   void fire();

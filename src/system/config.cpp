@@ -1,6 +1,9 @@
 #include "system/config.hpp"
 
+#include <limits>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace camps::system {
@@ -35,85 +38,72 @@ SystemConfig hmc_gen1_config(prefetch::SchemeKind scheme) {
 }
 
 SystemConfig apply_overrides(SystemConfig base, const ConfigFile& cfg) {
-  // Every key this function reads. A key outside this list is a typo (or a
-  // stale experiment file) and must fail loudly, not silently default.
-  static const std::vector<std::string> kKnownKeys = {
-      "cores", "seed", "max_cycles", "audit_every",
-      "core.issue_width", "core.max_outstanding", "core.warmup",
-      "core.measure",
-      "hmc.vaults", "hmc.banks", "hmc.links", "hmc.rows_per_bank",
-      "buffer.entries", "buffer.hit_latency",
-      "camps.threshold", "camps.conflict_entries", "mmd.max_degree",
-      "scheme",
-      "fault.link_crc_rate", "fault.link_drop_rate", "fault.xbar_drop_rate",
-      "fault.vault_stall_rate", "fault.vault_stall_ticks",
-      "fault.host_timeout_ticks", "fault.host_backoff_ticks",
-      "fault.retry_budget", "fault.degrade_threshold", "fault.link_tokens",
-      "fault.seed",
+  // Each read names its key once and the known-key list is built from the
+  // reads: a key nothing reads is a typo (or a stale experiment file) and
+  // must fail loudly, not silently default. So must an integer that does
+  // not fit its field, rather than wrap.
+  std::vector<std::string> known;
+  auto read = [&](const char* key, auto& field) {
+    using T = std::remove_reference_t<decltype(field)>;
+    known.emplace_back(key);
+    if (!cfg.has(key)) return false;
+    if constexpr (std::is_same_v<T, std::string>) {
+      field = cfg.get_string(key);
+    } else if constexpr (std::is_floating_point_v<T>) {
+      field = cfg.get_double(key);
+    } else {
+      static_assert(std::is_unsigned_v<T>);
+      const u64 value = cfg.get_uint(key);
+      if (value > std::numeric_limits<T>::max()) {
+        throw std::runtime_error("config key '" + std::string(key) + "' = " +
+                                 std::to_string(value) +
+                                 " does not fit its field");
+      }
+      field = static_cast<T>(value);
+    }
+    return true;
   };
-  cfg.require_known(kKnownKeys);
+  read("cores", base.cores);
+  read("seed", base.seed);
+  read("max_cycles", base.max_cycles);
+  read("audit_every", base.audit_every);
 
-  base.cores = static_cast<u32>(cfg.get_uint("cores", base.cores));
-  base.seed = cfg.get_uint("seed", base.seed);
-  base.max_cycles = cfg.get_uint("max_cycles", base.max_cycles);
-  base.audit_every = cfg.get_uint("audit_every", base.audit_every);
+  read("core.issue_width", base.core.issue_width);
+  read("core.max_outstanding", base.core.max_outstanding_loads);
+  read("core.warmup", base.core.warmup_instructions);
+  read("core.measure", base.core.measure_instructions);
 
-  base.core.issue_width = static_cast<u32>(
-      cfg.get_uint("core.issue_width", base.core.issue_width));
-  base.core.max_outstanding_loads = static_cast<u32>(
-      cfg.get_uint("core.max_outstanding", base.core.max_outstanding_loads));
-  base.core.warmup_instructions =
-      cfg.get_uint("core.warmup", base.core.warmup_instructions);
-  base.core.measure_instructions =
-      cfg.get_uint("core.measure", base.core.measure_instructions);
-
-  base.hmc.geometry.vaults =
-      static_cast<u32>(cfg.get_uint("hmc.vaults", base.hmc.geometry.vaults));
-  base.hmc.geometry.banks_per_vault = static_cast<u32>(
-      cfg.get_uint("hmc.banks", base.hmc.geometry.banks_per_vault));
+  read("hmc.vaults", base.hmc.geometry.vaults);
+  read("hmc.banks", base.hmc.geometry.banks_per_vault);
   base.hmc.vault.banks = base.hmc.geometry.banks_per_vault;
-  base.hmc.num_links =
-      static_cast<u32>(cfg.get_uint("hmc.links", base.hmc.num_links));
-  base.hmc.geometry.rows_per_bank =
-      cfg.get_uint("hmc.rows_per_bank", base.hmc.geometry.rows_per_bank);
+  read("hmc.links", base.hmc.num_links);
+  read("hmc.rows_per_bank", base.hmc.geometry.rows_per_bank);
 
-  base.hmc.vault.buffer.entries = static_cast<u32>(
-      cfg.get_uint("buffer.entries", base.hmc.vault.buffer.entries));
-  base.hmc.vault.buffer.hit_latency =
-      cfg.get_uint("buffer.hit_latency", base.hmc.vault.buffer.hit_latency);
+  read("buffer.entries", base.hmc.vault.buffer.entries);
+  read("buffer.hit_latency", base.hmc.vault.buffer.hit_latency);
 
-  base.scheme_params.camps.utilization_threshold = static_cast<u32>(
-      cfg.get_uint("camps.threshold",
-                   base.scheme_params.camps.utilization_threshold));
-  base.scheme_params.camps.conflict_entries = static_cast<u32>(
-      cfg.get_uint("camps.conflict_entries",
-                   base.scheme_params.camps.conflict_entries));
-  base.scheme_params.mmd.max_degree = static_cast<u32>(
-      cfg.get_uint("mmd.max_degree", base.scheme_params.mmd.max_degree));
+  read("camps.threshold", base.scheme_params.camps.utilization_threshold);
+  read("camps.conflict_entries", base.scheme_params.camps.conflict_entries);
+  read("mmd.max_degree", base.scheme_params.mmd.max_degree);
 
-  if (cfg.has("scheme")) {
-    base.scheme = prefetch::scheme_from_string(cfg.get_string("scheme"));
+  std::string scheme;
+  if (read("scheme", scheme)) {
+    base.scheme = prefetch::scheme_from_string(scheme);
   }
 
   fault::FaultConfig& f = base.hmc.fault;
-  f.link_crc_rate = cfg.get_double("fault.link_crc_rate", f.link_crc_rate);
-  f.link_drop_rate = cfg.get_double("fault.link_drop_rate", f.link_drop_rate);
-  f.xbar_drop_rate = cfg.get_double("fault.xbar_drop_rate", f.xbar_drop_rate);
-  f.vault_stall_rate =
-      cfg.get_double("fault.vault_stall_rate", f.vault_stall_rate);
-  f.vault_stall_ticks =
-      cfg.get_uint("fault.vault_stall_ticks", f.vault_stall_ticks);
-  f.host_timeout_ticks =
-      cfg.get_uint("fault.host_timeout_ticks", f.host_timeout_ticks);
-  f.host_backoff_ticks =
-      cfg.get_uint("fault.host_backoff_ticks", f.host_backoff_ticks);
-  f.host_retry_budget = static_cast<u32>(
-      cfg.get_uint("fault.retry_budget", f.host_retry_budget));
-  f.vault_degrade_threshold = static_cast<u32>(
-      cfg.get_uint("fault.degrade_threshold", f.vault_degrade_threshold));
-  f.link_tokens =
-      static_cast<u32>(cfg.get_uint("fault.link_tokens", f.link_tokens));
-  f.seed = cfg.get_uint("fault.seed", f.seed);
+  read("fault.link_crc_rate", f.link_crc_rate);
+  read("fault.link_drop_rate", f.link_drop_rate);
+  read("fault.xbar_drop_rate", f.xbar_drop_rate);
+  read("fault.vault_stall_rate", f.vault_stall_rate);
+  read("fault.vault_stall_ticks", f.vault_stall_ticks);
+  read("fault.host_timeout_ticks", f.host_timeout_ticks);
+  read("fault.host_backoff_ticks", f.host_backoff_ticks);
+  read("fault.retry_budget", f.host_retry_budget);
+  read("fault.degrade_threshold", f.vault_degrade_threshold);
+  read("fault.link_tokens", f.link_tokens);
+  read("fault.seed", f.seed);
+  cfg.require_known(known);
   return base;
 }
 

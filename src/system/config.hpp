@@ -50,20 +50,12 @@ SystemConfig table1_config(
 SystemConfig hmc_gen1_config(
     prefetch::SchemeKind scheme = prefetch::SchemeKind::kCampsMod);
 
-/// Applies `key = value` overrides; recognized keys (all optional):
-///   cores, seed, max_cycles, audit_every,
-///   core.issue_width, core.max_outstanding, core.warmup, core.measure,
-///   hmc.vaults, hmc.banks, hmc.links, hmc.rows_per_bank,
-///   buffer.entries, buffer.hit_latency,
-///   camps.threshold, camps.conflict_entries, mmd.max_degree,
-///   scheme (NONE|BASE|BASE-HIT|MMD|CAMPS|CAMPS-MOD),
-///   fault.link_crc_rate, fault.link_drop_rate, fault.xbar_drop_rate,
-///   fault.vault_stall_rate, fault.vault_stall_ticks,
-///   fault.host_timeout_ticks, fault.host_backoff_ticks,
-///   fault.retry_budget, fault.degrade_threshold, fault.link_tokens,
-///   fault.seed
-/// Throws std::runtime_error for malformed values and for unrecognized
-/// keys (with a did-you-mean suggestion for near misses).
+/// Applies `key = value` overrides. Every key is optional; the reads in
+/// apply_overrides are the one list of accepted keys, and
+/// configs/table1.ini shows each at its default. Throws
+/// std::runtime_error for malformed values, for integers that do not fit
+/// their field, and for unrecognized keys (with a did-you-mean suggestion
+/// for near misses).
 SystemConfig apply_overrides(SystemConfig base, const ConfigFile& cfg);
 
 }  // namespace camps::system

@@ -11,20 +11,23 @@ namespace camps::system {
 
 namespace {
 
-/// Stage rows for iterating the breakdown in a fixed, documented order.
-struct StageRow {
-  const char* name;
-  const StageStats* stats;
-};
-
-std::vector<StageRow> stage_rows(const LatencyBreakdown& b) {
-  return {{"host_queue", &b.host_queue},   {"link_down", &b.link_down},
-          {"link_up", &b.link_up},         {"vault_queue", &b.vault_queue},
-          {"bank_service", &b.bank_service}, {"buffer_hit", &b.buffer_hit},
-          {"total_read", &b.total_read}};
+void write_stage(JsonWriter& w, const char* name, const StageStats& s) {
+  w.key(name);
+  w.begin_object();
+  w.field("count", s.count);
+  w.field("mean", s.mean);
+  w.field("p50", s.p50);
+  w.field("p95", s.p95);
+  w.field("p99", s.p99);
+  w.end_object();
 }
 
 }  // namespace
+
+StageStats stage_stats(const Histogram& h) {
+  return {h.count(), h.mean(), h.percentile(50.0), h.percentile(95.0),
+          h.percentile(99.0)};
+}
 
 double geometric_mean(const std::vector<double>& values) {
   if (values.empty()) return 0.0;
@@ -58,10 +61,11 @@ std::string RunResults::summary() const {
       << link_up_utilization * 100.0 << "%\n";
   if (latency.total_read.count > 0) {
     out << "latency breakdown (CPU cycles, mean / p95):\n";
-    for (const auto& row : stage_rows(latency)) {
-      if (row.stats->count == 0) continue;
-      out << "  " << row.name << " : " << row.stats->mean << " / "
-          << row.stats->p95 << "  (" << row.stats->count << " samples)\n";
+    for (const auto& [name, stage] : kLatencyStages) {
+      const StageStats& s = latency.*stage;
+      if (s.count == 0) continue;
+      out << "  " << name << " : " << s.mean << " / " << s.p95 << "  ("
+          << s.count << " samples)\n";
     }
   }
   if (faults.active) {
@@ -127,15 +131,8 @@ std::string RunResults::to_json(int indent) const {
   w.end_array();
   w.key("latency");
   w.begin_object();
-  for (const auto& row : stage_rows(latency)) {
-    w.key(row.name);
-    w.begin_object();
-    w.field("count", row.stats->count);
-    w.field("mean", row.stats->mean);
-    w.field("p50", row.stats->p50);
-    w.field("p95", row.stats->p95);
-    w.field("p99", row.stats->p99);
-    w.end_object();
+  for (const auto& [name, stage] : kLatencyStages) {
+    write_stage(w, name, latency.*stage);
   }
   w.end_object();
   w.field("trace_recorded", trace_recorded);
@@ -146,24 +143,10 @@ std::string RunResults::to_json(int indent) const {
     w.key("faults");
     w.begin_object();
     w.field("injected", faults.injected());
-    w.field("crc_errors", faults.crc_errors);
-    w.field("replays", faults.replays);
-    w.field("link_drops", faults.link_drops);
-    w.field("xbar_drops", faults.xbar_drops);
-    w.field("vault_stalls", faults.vault_stalls);
-    w.field("host_retries", faults.host_retries);
-    w.field("host_poisoned", faults.host_poisoned);
-    w.field("late_responses", faults.late_responses);
-    w.field("degrade_flushes", faults.degrade_flushes);
-    w.field("token_stall_ticks", faults.token_stall_ticks);
-    w.key("recovery");
-    w.begin_object();
-    w.field("count", faults.recovery.count);
-    w.field("mean", faults.recovery.mean);
-    w.field("p50", faults.recovery.p50);
-    w.field("p95", faults.recovery.p95);
-    w.field("p99", faults.recovery.p99);
-    w.end_object();
+    for (const auto& [name, value] : kFaultCounters) {
+      w.field(name, faults.*value);
+    }
+    write_stage(w, "recovery", faults.recovery);
     w.end_object();
   }
   w.end_object();

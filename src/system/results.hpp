@@ -4,8 +4,10 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "obs/epoch_sampler.hpp"
 #include "obs/trace_recorder.hpp"
@@ -22,6 +24,9 @@ struct StageStats {
   double p99 = 0.0;
 };
 
+/// Count, mean and 50/95/99th percentiles of `h` (all zero when empty).
+StageStats stage_stats(const Histogram& h);
+
 /// Where a memory read's cycles went, stage by stage. Stages are measured
 /// independently (each request contributes to every stage it crossed), so
 /// the means do not sum exactly to total_read.
@@ -33,6 +38,20 @@ struct LatencyBreakdown {
   StageStats bank_service;  ///< Column command to data done.
   StageStats buffer_hit;    ///< Prefetch-buffer serves.
   StageStats total_read;    ///< Whole round trip (host submit -> deliver).
+};
+
+/// The breakdown's stages in report order, by name (the JSON key and the
+/// summary label) and member. The producer's registry histogram is
+/// "latency.<name>_cycles".
+inline constexpr std::pair<const char*, StageStats LatencyBreakdown::*>
+    kLatencyStages[] = {
+        {"host_queue", &LatencyBreakdown::host_queue},
+        {"link_down", &LatencyBreakdown::link_down},
+        {"link_up", &LatencyBreakdown::link_up},
+        {"vault_queue", &LatencyBreakdown::vault_queue},
+        {"bank_service", &LatencyBreakdown::bank_service},
+        {"buffer_hit", &LatencyBreakdown::buffer_hit},
+        {"total_read", &LatencyBreakdown::total_read},
 };
 
 /// Fault-injection accounting for one run. `active` is false (and every
@@ -59,6 +78,22 @@ struct FaultSummary {
   u64 injected() const {
     return crc_errors + link_drops + xbar_drops + vault_stalls;
   }
+};
+
+/// FaultSummary's counters in report order, by name (the JSON key) and
+/// member. The FaultPlan's registry counter is "fault.<name>".
+inline constexpr std::pair<const char*, u64 FaultSummary::*>
+    kFaultCounters[] = {
+        {"crc_errors", &FaultSummary::crc_errors},
+        {"replays", &FaultSummary::replays},
+        {"link_drops", &FaultSummary::link_drops},
+        {"xbar_drops", &FaultSummary::xbar_drops},
+        {"vault_stalls", &FaultSummary::vault_stalls},
+        {"host_retries", &FaultSummary::host_retries},
+        {"host_poisoned", &FaultSummary::host_poisoned},
+        {"late_responses", &FaultSummary::late_responses},
+        {"degrade_flushes", &FaultSummary::degrade_flushes},
+        {"token_stall_ticks", &FaultSummary::token_stall_ticks},
 };
 
 /// One core's numbers. `ipc` and `instructions` cover this core's own

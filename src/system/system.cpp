@@ -210,24 +210,12 @@ RunResults System::collect_results() const {
   }
   r.link_wakeups = device.link_wakeups();
 
-  auto stage_of = [this](const char* name) {
-    StageStats s;
-    const Histogram* h = stats_.find_histogram(name);
-    if (h == nullptr || h->count() == 0) return s;
-    s.count = h->count();
-    s.mean = h->mean();
-    s.p50 = h->percentile(50.0);
-    s.p95 = h->percentile(95.0);
-    s.p99 = h->percentile(99.0);
-    return s;
-  };
-  r.latency.host_queue = stage_of("latency.host_queue_cycles");
-  r.latency.link_down = stage_of("latency.link_down_cycles");
-  r.latency.link_up = stage_of("latency.link_up_cycles");
-  r.latency.vault_queue = stage_of("latency.vault_queue_cycles");
-  r.latency.bank_service = stage_of("latency.bank_service_cycles");
-  r.latency.buffer_hit = stage_of("latency.buffer_hit_cycles");
-  r.latency.total_read = stage_of("latency.total_read_cycles");
+  for (const auto& [name, stage] : kLatencyStages) {
+    const Histogram* h =
+        stats_.find_histogram(std::string("latency.") + name + "_cycles");
+    CAMPS_ASSERT_MSG(h != nullptr, name);
+    r.latency.*stage = stage_stats(*h);
+  }
 
   if (trace_.enabled()) {
     r.trace_spans = std::make_shared<const std::vector<obs::Span>>(
@@ -239,20 +227,12 @@ RunResults System::collect_results() const {
     r.epochs = std::make_shared<const std::vector<obs::EpochSample>>(
         epoch_sampler_->samples());
   }
-  if (device.fault_plan() != nullptr) {
+  if (const fault::FaultPlan* plan = device.fault_plan()) {
     r.faults.active = true;
-    r.faults.crc_errors = stats_.counter_value("fault.crc_errors");
-    r.faults.replays = stats_.counter_value("fault.replays");
-    r.faults.link_drops = stats_.counter_value("fault.link_drops");
-    r.faults.xbar_drops = stats_.counter_value("fault.xbar_drops");
-    r.faults.vault_stalls = stats_.counter_value("fault.vault_stalls");
-    r.faults.host_retries = stats_.counter_value("fault.host_retries");
-    r.faults.host_poisoned = stats_.counter_value("fault.host_poisoned");
-    r.faults.late_responses = stats_.counter_value("fault.late_responses");
-    r.faults.degrade_flushes = stats_.counter_value("fault.degrade_flushes");
-    r.faults.token_stall_ticks =
-        stats_.counter_value("fault.token_stall_ticks");
-    r.faults.recovery = stage_of("fault.recovery_cycles");
+    for (const auto& [name, value] : kFaultCounters) {
+      r.faults.*value = stats_.counter_value(std::string("fault.") + name);
+    }
+    r.faults.recovery = stage_stats(plan->recovery());
   }
   return r;
 }

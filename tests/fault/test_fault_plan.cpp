@@ -17,7 +17,10 @@ TEST(FaultPlan, DefaultConfigInjectsNothing) {
     EXPECT_FALSE(plan.roll(Site::kLinkDownCrc, 0));
     EXPECT_FALSE(plan.roll(Site::kVaultStall, static_cast<u32>(i % 32)));
   }
-  EXPECT_EQ(plan.injected(), 0u);
+  for (const char* injected : {"fault.crc_errors", "fault.link_drops",
+                               "fault.xbar_drops", "fault.vault_stalls"}) {
+    EXPECT_EQ(stats.counter_value(injected), 0u) << injected;
+  }
 }
 
 TEST(FaultPlan, RateOneAlwaysFaults) {
@@ -128,7 +131,6 @@ TEST(FaultPlan, CountersAndHistogramRegister) {
   const Histogram* h = stats.find_histogram("fault.recovery_cycles");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count(), 2u);  // one replay + one poison
-  EXPECT_EQ(plan.injected(), 4u);  // crc + link drop + xbar drop + stall
 }
 
 TEST(FaultPlan, EnabledReflectsConfiguration) {

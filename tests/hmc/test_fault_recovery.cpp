@@ -5,6 +5,7 @@
 // audit invariant intact.
 #include <gtest/gtest.h>
 #include <memory>
+#include <string>
 
 #include "check/audit.hpp"
 #include "hmc/host_controller.hpp"
@@ -130,10 +131,8 @@ TEST(FaultRecovery, RetryBudgetExhaustionPoisonsTheRequest) {
 
   EXPECT_TRUE(done);
   EXPECT_TRUE(h.host->idle());
-  EXPECT_EQ(h.host->reads_poisoned(), 1u);
-  EXPECT_EQ(h.host->retries_issued(), 2u);  // budget fully spent
   EXPECT_EQ(h.stats.counter_value("fault.host_poisoned"), 1u);
-  EXPECT_EQ(h.stats.counter_value("fault.host_retries"), 2u);
+  EXPECT_EQ(h.stats.counter_value("fault.host_retries"), 2u);  // all spent
   // Original + 2 retries each died at the downstream link.
   EXPECT_EQ(h.stats.counter_value("fault.link_drops"), 3u);
   // The poison event samples the recovery-latency histogram.
@@ -158,8 +157,8 @@ TEST(FaultRecovery, SingleDropRecoversWithinBudget) {
 
   EXPECT_TRUE(done);
   EXPECT_EQ(h.host->reads_completed(), 1u);
-  EXPECT_EQ(h.host->reads_poisoned(), 0u);
-  EXPECT_EQ(h.host->retries_issued(), 1u);
+  EXPECT_EQ(h.stats.counter_value("fault.host_poisoned"), 0u);
+  EXPECT_EQ(h.stats.counter_value("fault.host_retries"), 1u);
   // Recovery latency (timeout + backoff + clean round trip) is sampled
   // once, for the retried read that eventually completed.
   const Histogram* rec = h.stats.find_histogram("fault.recovery_cycles");
@@ -194,8 +193,8 @@ TEST(FaultRecovery, LateResponseToSupersededIdIsCountedNotDelivered) {
 
   EXPECT_EQ(completions, 1);  // the late duplicate must not fire on_done
   EXPECT_EQ(h.host->reads_completed(), 1u);
-  EXPECT_EQ(h.host->retries_issued(), 1u);
-  EXPECT_EQ(h.host->reads_poisoned(), 0u);
+  EXPECT_EQ(h.stats.counter_value("fault.host_retries"), 1u);
+  EXPECT_EQ(h.stats.counter_value("fault.host_poisoned"), 0u);
   EXPECT_EQ(h.stats.counter_value("fault.vault_stalls"), 1u);
   EXPECT_EQ(h.stats.counter_value("fault.late_responses"), 1u);
   EXPECT_TRUE(h.host->idle());
@@ -239,10 +238,10 @@ TEST(FaultRecovery, FaultFreeConfigLeavesNoFaultState) {
   EXPECT_EQ(h.host->device().fault_plan(), nullptr);
   h.host->read(0x1000, 0, nullptr);
   h.sim.run();
-  EXPECT_FALSE(h.stats.has_counter("fault.crc_errors"));
+  // No fault.* stat is even registered.
+  EXPECT_EQ(h.stats.dump().find("fault."), std::string::npos)
+      << h.stats.dump();
   EXPECT_EQ(h.stats.find_histogram("fault.recovery_cycles"), nullptr);
-  EXPECT_EQ(h.host->reads_poisoned(), 0u);
-  EXPECT_EQ(h.host->retries_issued(), 0u);
 }
 
 }  // namespace

@@ -134,6 +134,23 @@ TEST(SystemConfig, FaultOverridesApply) {
   EXPECT_TRUE(f.enabled());
 }
 
+TEST(SystemConfig, ValueThatOverflowsItsFieldThrowsNamingTheKey) {
+  // Regression: 4294967302 used to wrap to 6 in the u32 field and run as
+  // threshold 6 without a word.
+  auto cfg = ConfigFile::parse("[camps]\nthreshold = 4294967302\n");
+  try {
+    apply_overrides(table1_config(), cfg);
+    FAIL() << "an overflowing value was accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("camps.threshold"), std::string::npos) << msg;
+  }
+  // The largest value that fits still applies.
+  const SystemConfig out = apply_overrides(
+      table1_config(), ConfigFile::parse("[camps]\nthreshold = 4294967295\n"));
+  EXPECT_EQ(out.scheme_params.camps.utilization_threshold, 4294967295u);
+}
+
 TEST(SystemConfig, FaultsDisabledByDefault) {
   const SystemConfig out =
       apply_overrides(table1_config(), ConfigFile::parse(""));

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "exp/runner.hpp"
 #include "system/system.hpp"
@@ -128,6 +129,54 @@ TEST(Observability, EpochSamplerProducesTimeSeries) {
   const auto& last = r.epochs->back();
   EXPECT_GE(last.demand_reads, first.demand_reads);
   EXPECT_GT(last.demand_reads, 0u);
+}
+
+TEST(Observability, FaultCountersReachRunResults) {
+  // All four fault kinds at once. The names are restated here on purpose:
+  // a producer renamed without its consumer reads as 0 on both sides, so
+  // each name must also be registered and every injection kind must fire.
+  SystemConfig cfg = quick(prefetch::SchemeKind::kCampsMod, 10000);
+  cfg.hmc.fault.link_crc_rate = 0.01;
+  cfg.hmc.fault.link_drop_rate = 0.002;
+  cfg.hmc.fault.xbar_drop_rate = 0.002;
+  cfg.hmc.fault.vault_stall_rate = 0.01;
+  cfg.hmc.fault.seed = 3;
+  auto sys = make_workload_system(cfg, "HM1");
+  const RunResults r = sys->run();
+  const StatRegistry& stats = sys->stats();
+  const FaultSummary& f = r.faults;
+  ASSERT_TRUE(f.active);
+
+  const std::pair<const char*, u64> counters[] = {
+      {"fault.crc_errors", f.crc_errors},
+      {"fault.replays", f.replays},
+      {"fault.link_drops", f.link_drops},
+      {"fault.xbar_drops", f.xbar_drops},
+      {"fault.vault_stalls", f.vault_stalls},
+      {"fault.host_retries", f.host_retries},
+      {"fault.host_poisoned", f.host_poisoned},
+      {"fault.late_responses", f.late_responses},
+      {"fault.degrade_flushes", f.degrade_flushes},
+      {"fault.token_stall_ticks", f.token_stall_ticks},
+  };
+  const std::string dump = std::string("\n") + stats.dump();
+  for (const auto& [name, value] : counters) {
+    EXPECT_EQ(value, stats.counter_value(name)) << name;
+    EXPECT_NE(dump.find(std::string("\n") + name + " = "), std::string::npos)
+        << name << " is not registered";
+  }
+  const Histogram* recovery = stats.find_histogram("fault.recovery_cycles");
+  ASSERT_NE(recovery, nullptr);
+  EXPECT_EQ(f.recovery.count, recovery->count());
+
+  EXPECT_GT(f.crc_errors, 0u);
+  EXPECT_GT(f.link_drops, 0u);
+  EXPECT_GT(f.xbar_drops, 0u);
+  EXPECT_GT(f.vault_stalls, 0u);
+  EXPECT_EQ(f.injected(), stats.counter_value("fault.crc_errors") +
+                              stats.counter_value("fault.link_drops") +
+                              stats.counter_value("fault.xbar_drops") +
+                              stats.counter_value("fault.vault_stalls"));
 }
 
 // The acceptance bar for every machine-readable export: a sweep's results

@@ -74,7 +74,8 @@ int main(int argc, char** argv) {
   bool dump_stats = false;
   bool dump_energy = false;
   std::string stats_json_path, trace_out_path, epoch_csv_path, epoch_json_path;
-  u64 trace_cap = 0, epoch_ticks = 0;
+  u32 trace_cap = 0;
+  u64 epoch_ticks = 0;
   system::SystemConfig cfg = system::table1_config();
   cfg.core.warmup_instructions = 100'000;
   cfg.core.measure_instructions = 500'000;
@@ -94,6 +95,9 @@ int main(int argc, char** argv) {
     };
     auto number = [&](const char* prefix) {
       return cli::parse_u64(argv[0], arg, std::strlen(prefix), usage);
+    };
+    auto number32 = [&](const char* prefix) {
+      return cli::parse_u32(argv[0], arg, std::strlen(prefix), usage);
     };
     auto rate = [&](const char* prefix) {
       return cli::parse_double(argv[0], arg, std::strlen(prefix), usage);
@@ -128,7 +132,7 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--trace-out=", 0) == 0) {
       trace_out_path = value("--trace-out=");
     } else if (arg.rfind("--trace-cap=", 0) == 0) {
-      trace_cap = number("--trace-cap=");
+      trace_cap = number32("--trace-cap=");
     } else if (arg.rfind("--epoch-ticks=", 0) == 0) {
       epoch_ticks = number("--epoch-ticks=");
     } else if (arg.rfind("--epoch-csv=", 0) == 0) {
@@ -151,15 +155,14 @@ int main(int argc, char** argv) {
       fault_cfg.seed = number("--fault-seed=");
       have_fault = true;
     } else if (arg.rfind("--fault-retry-budget=", 0) == 0) {
-      fault_cfg.host_retry_budget =
-          static_cast<u32>(number("--fault-retry-budget="));
+      fault_cfg.host_retry_budget = number32("--fault-retry-budget=");
       have_fault = true;
     } else if (arg.rfind("--fault-degrade-threshold=", 0) == 0) {
       fault_cfg.vault_degrade_threshold =
-          static_cast<u32>(number("--fault-degrade-threshold="));
+          number32("--fault-degrade-threshold=");
       have_fault = true;
     } else if (arg.rfind("--fault-tokens=", 0) == 0) {
-      fault_cfg.link_tokens = static_cast<u32>(number("--fault-tokens="));
+      fault_cfg.link_tokens = number32("--fault-tokens=");
       have_fault = true;
     } else if (arg.rfind("--log-level=", 0) == 0) {
       set_log_level(cli::parse_log_level(argv[0], arg, 12, usage));
@@ -190,7 +193,7 @@ int main(int argc, char** argv) {
     // seeded from defaults, matching how the other flags win.
     if (have_fault) cfg.hmc.fault = fault_cfg;
     cfg.obs.trace_enabled = !trace_out_path.empty();
-    if (trace_cap > 0) cfg.obs.trace_capacity = static_cast<u32>(trace_cap);
+    if (trace_cap > 0) cfg.obs.trace_capacity = trace_cap;
     // An epoch output without an explicit period gets a sensible default
     // (10 us of simulated time).
     if (epoch_ticks == 0 &&

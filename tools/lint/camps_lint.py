@@ -15,6 +15,12 @@ pragma-once   Every header uses #pragma once (the repo's include-guard
 stats-name    String literals registered with StatRegistry::counter() /
               histogram() use only [a-z0-9_.] so exported JSON/CSV keys
               stay shell- and spreadsheet-safe.
+stats-once    In src/, a stat name passed as a string literal to
+              counter(), histogram(), counter_value() or find_histogram()
+              is spelled as a literal only once: a second spelling is a
+              consumer that a renamed producer would silently read as 0.
+              Consumers derive the name from one list instead. tests/ is
+              exempt (tests restate names as a reference).
 iwyu-lite     A file that names a common std:: type directly includes the
               header that defines it (small fixed mapping; transitive
               includes are deliberately not honored).
@@ -47,6 +53,9 @@ DETERMINISM_PATTERNS = [
 STATS_CALL = re.compile(r"\b(?:counter|histogram)\s*\(")
 STRING_LITERAL = re.compile(r'"((?:[^"\\]|\\.)*)"')
 STATS_NAME_OK = re.compile(r"[a-z0-9_.]*\Z")
+STATS_ONCE_CALL = re.compile(
+    r'\b(?:counter|histogram|counter_value|find_histogram)\s*\(\s*'
+    r'"((?:[^"\\]|\\.)*)"\s*\)')
 
 # Symbol -> required direct include. Conservative: only types whose use
 # without the canonical header is overwhelmingly an accident.
@@ -95,7 +104,7 @@ def in_deterministic_tree(rel):
     return any(str(rel).startswith(tree + "/") for tree in DETERMINISTIC_TREES)
 
 
-def check_file(root, path, findings):
+def check_file(root, path, findings, src_literals, stat_names):
     rel = path.relative_to(root)
     try:
         text = path.read_text(encoding="utf-8")
@@ -109,6 +118,7 @@ def check_file(root, path, findings):
             Finding(rel, 1, "pragma-once", "header lacks #pragma once"))
 
     deterministic = in_deterministic_tree(rel)
+    in_src = str(rel).startswith("src/")
     for number, raw in enumerate(lines, start=1):
         code = strip_comment(raw)
 
@@ -127,6 +137,11 @@ def check_file(root, path, findings):
                         rel, number, "stats-name",
                         f'stat name "{literal}" uses characters outside '
                         "[a-z0-9_.]"))
+
+        if in_src and not waived(raw, "stats-once"):
+            for literal in STRING_LITERAL.findall(code):
+                src_literals.setdefault(literal, []).append((rel, number))
+            stat_names.update(STATS_ONCE_CALL.findall(code))
 
     includes = set(re.findall(r'#include\s+([<"][^>"]+[>"])', text))
     direct = {inc for inc in includes if inc.startswith("<")}
@@ -164,8 +179,17 @@ def main():
             files.extend(sorted((root / tree).rglob("*.cpp")))
 
     findings = []
+    src_literals = {}  # stats-once: literal -> [(path, line)] in src/
+    stat_names = set()  # whole-literal stats call arguments in src/
     for path in files:
-        check_file(root, path, findings)
+        check_file(root, path, findings, src_literals, stat_names)
+    for name in sorted(stat_names):
+        first, *again = src_literals[name]
+        for rel, number in again:
+            findings.append(Finding(
+                rel, number, "stats-once",
+                f'stat name "{name}" is already spelled at '
+                f"{first[0]}:{first[1]}"))
 
     for finding in findings:
         print(finding)
