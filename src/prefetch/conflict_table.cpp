@@ -11,6 +11,7 @@ namespace camps::prefetch {
 
 ConflictTable::ConflictTable(u32 entries) : capacity_(entries) {
   CAMPS_ASSERT(entries > 0);
+  lru_.reserve(capacity_);
 }
 
 bool ConflictTable::contains(BankRow id) const {
@@ -18,18 +19,18 @@ bool ConflictTable::contains(BankRow id) const {
 }
 
 std::optional<BankRow> ConflictTable::insert(BankRow id) {
-  const auto it = std::find(lru_.begin(), lru_.end(), id);
-  if (it != lru_.end()) {
-    lru_.erase(it);
-    lru_.push_front(id);
-    return std::nullopt;
-  }
+  auto it = std::find(lru_.begin(), lru_.end(), id);
   std::optional<BankRow> evicted;
-  if (lru_.size() == capacity_) {
-    evicted = lru_.back();
-    lru_.pop_back();
+  if (it == lru_.end()) {
+    if (lru_.size() == capacity_) {
+      evicted = lru_.back();
+      lru_.pop_back();
+    }
+    lru_.push_back(id);
+    it = lru_.end() - 1;
   }
-  lru_.push_front(id);
+  // Move the entry to the front, shifting the more recent ones back by one.
+  std::rotate(lru_.begin(), it, it + 1);
   return evicted;
 }
 
@@ -38,10 +39,6 @@ bool ConflictTable::remove(BankRow id) {
   if (it == lru_.end()) return false;
   lru_.erase(it);
   return true;
-}
-
-std::vector<BankRow> ConflictTable::snapshot() const {
-  return {lru_.begin(), lru_.end()};
 }
 
 }  // namespace camps::prefetch

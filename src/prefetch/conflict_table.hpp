@@ -6,7 +6,6 @@
 // and becomes a prefetch candidate.
 #pragma once
 
-#include <list>
 #include <optional>
 #include <vector>
 
@@ -34,7 +33,7 @@ class ConflictTable final {
   u32 capacity() const { return capacity_; }
 
   /// LRU-ordered snapshot, MRU first (for tests/inspection).
-  std::vector<BankRow> snapshot() const;
+  std::vector<BankRow> snapshot() const { return lru_; }
 
   /// Hardware footprint in bits (paper: 32 entries x 20 bits per vault).
   u64 overhead_bits() const { return u64{capacity_} * 20; }
@@ -47,7 +46,9 @@ class ConflictTable final {
   friend struct check::TestCorruptor;
 
   u32 capacity_;
-  std::list<BankRow> lru_;  ///< Front = MRU. 32 entries: linear scan is fine.
+  /// Front = MRU; reserved to capacity_, so inserts never allocate. 32
+  /// entries: a linear scan and a rotate are cheaper than list nodes.
+  std::vector<BankRow> lru_;
 };
 
 static_assert(check::Auditable<ConflictTable>);
