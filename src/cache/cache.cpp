@@ -46,11 +46,14 @@ const Cache::Line* Cache::find(Addr addr) const {
 void Cache::touch(u64 set, Line& line) { line.lru = ++lru_clock_[set]; }
 
 bool Cache::access(Addr addr, AccessType type) {
+  if (access_if_present(addr, type)) return true;
+  ++misses_;
+  return false;
+}
+
+bool Cache::access_if_present(Addr addr, AccessType type) {
   Line* line = find(addr);
-  if (line == nullptr) {
-    ++misses_;
-    return false;
-  }
+  if (line == nullptr) return false;
   ++hits_;
   touch(set_index(addr), *line);
   if (type == AccessType::kWrite) line->dirty = true;

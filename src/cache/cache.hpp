@@ -37,6 +37,10 @@ class Cache {
   /// True if the line is present. Updates LRU and the dirty bit on hit.
   bool access(Addr addr, AccessType type);
 
+  /// access() without the miss: on a hit, counts it and updates LRU and the
+  /// dirty bit; otherwise returns false and changes nothing.
+  bool access_if_present(Addr addr, AccessType type);
+
   /// Presence check with no side effects.
   bool probe(Addr addr) const;
 
@@ -49,6 +53,8 @@ class Cache {
   std::optional<bool> invalidate(Addr addr);
 
   const CacheConfig& config() const { return cfg_; }
+  /// The set `addr` maps to.
+  u64 set_index(Addr addr) const;
 
   u64 hits() const { return hits_; }
   u64 misses() const { return misses_; }
@@ -66,7 +72,6 @@ class Cache {
     bool dirty = false;
   };
 
-  u64 set_index(Addr addr) const;
   u64 tag_of(Addr addr) const;
   Line* find(Addr addr);
   const Line* find(Addr addr) const;

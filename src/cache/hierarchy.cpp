@@ -17,7 +17,9 @@ CacheHierarchy::CacheHierarchy(sim::Simulator& sim,
       cfg_(config),
       l3_(config.l3),
       mshrs_(config.mshr_entries),
-      memory_(memory) {
+      memory_(memory),
+      pending_fills_(cores * config.l1.sets(), 0),
+      l1_sets_(config.l1.sets()) {
   CAMPS_ASSERT(cores > 0);
   CAMPS_ASSERT(memory_ != nullptr);
   CAMPS_ASSERT(config.l1.line_bytes == config.l3.line_bytes &&
@@ -52,6 +54,11 @@ void CacheHierarchy::settle_hits() {
   }
   pending_hits_.resize(kept);
   settle_at_ = std::max(kMinSettle, 2 * kept);
+}
+
+void CacheHierarchy::add_pending_hit(Tick done, u32 cycles) {
+  if (pending_hits_.size() >= settle_at_) settle_hits();
+  pending_hits_.push_back(PendingHit{done, cycles});
 }
 
 void CacheHierarchy::completed_hits(u64& count, u64& cycles) const {
@@ -130,20 +137,34 @@ std::optional<Tick> CacheHierarchy::read(CoreId core, Addr addr,
     if (level >= 3) fill_level(*l2_[core], line, false, core, false);
     if (level >= 2) fill_level(*l1_[core], line, false, core, false);
     const Tick done_at = issued + Tick{cycles} * sim::kCpuTicksPerCycle;
-    if (pending_hits_.size() >= settle_at_) settle_hits();
-    pending_hits_.push_back(PendingHit{done_at, cycles});
+    add_pending_hit(done_at, cycles);
     return done_at;
   }
 
   // L3 miss: register with the MSHRs; the first miss launches the fetch
   // after the full lookup latency has elapsed.
+  ++pending_fills_[fill_slot(core, line)];
   auto waiter = [this, core, line, issued, done = std::move(done)]() mutable {
+    --pending_fills_[fill_slot(core, line)];
     fill_level(*l2_[core], line, false, core, false);
     fill_level(*l1_[core], line, false, core, false);
     complete_load(issued, std::move(done));
   };
   allocate_or_defer(line, core, cycles, std::move(waiter));
   return std::nullopt;
+}
+
+std::optional<Tick> CacheHierarchy::access_l1_ahead(CoreId core, Addr addr,
+                                                    AccessType type, Tick at) {
+  const Addr line = align(addr, cfg_.l3.line_bytes);
+  if (pending_fills_[fill_slot(core, line)] != 0 ||
+      !l1_[core]->access_if_present(line, type)) {
+    return std::nullopt;
+  }
+  const u32 cycles = cfg_.l1.hit_latency;
+  const Tick done_at = at + Tick{cycles} * sim::kCpuTicksPerCycle;
+  if (type == AccessType::kRead) add_pending_hit(done_at, cycles);
+  return done_at;
 }
 
 void CacheHierarchy::allocate_or_defer(Addr line, CoreId core,
@@ -195,7 +216,9 @@ void CacheHierarchy::write(CoreId core, Addr addr) {
   }
   // Write-allocate: fetch the line; the store itself has already retired
   // (store buffer), so no completion callback — the line lands dirty in L1.
+  ++pending_fills_[fill_slot(core, line)];
   auto waiter = [this, core, line] {
+    --pending_fills_[fill_slot(core, line)];
     fill_level(*l2_[core], line, false, core, false);
     fill_level(*l1_[core], line, /*dirty=*/true, core, false);
   };

@@ -13,6 +13,12 @@
 // Write-back/write-allocate: stores that miss fetch the line like a load
 // (but complete the store immediately — store buffers hide the latency),
 // dirty victims cascade down and dirty L3 victims become memory writes.
+//
+// Run-ahead support (cpu/core.hpp): each core's L1 is private, and only
+// that core's own miss fills change it between its accesses. The hierarchy
+// counts those fills in flight per (core, L1 set), and access_l1_ahead()
+// serves an L1 hit in a set with none, so a core may issue it before its
+// tick arrives without changing anything another component can observe.
 #pragma once
 
 #include <functional>
@@ -68,6 +74,21 @@ class CacheHierarchy final {
   /// the line fetch proceeds in the background on a miss).
   void write(CoreId core, Addr addr);
 
+  /// A load or store issued ahead, at tick `at` (>= now()), that must hit
+  /// the core's L1 in a set with no fill pending for this core. On such a
+  /// hit it counts the hit, updates LRU and the dirty bit, and returns the
+  /// tick the access completes (a load enters AMAT by then, as from
+  /// read()). Otherwise it returns nullopt and changes nothing: no miss is
+  /// counted.
+  std::optional<Tick> access_l1_ahead(CoreId core, Addr addr, AccessType type,
+                                      Tick at);
+
+  /// Fills in flight into the L1 set of `addr` for `core`: its load misses
+  /// and write-allocates whose lines have not landed yet.
+  u32 pending_l1_fills(CoreId core, Addr addr) const {
+    return pending_fills_[fill_slot(core, addr)];
+  }
+
   // --- inspection -------------------------------------------------------
   const Cache& l1(CoreId core) const { return *l1_[core]; }
   const Cache& l2(CoreId core) const { return *l2_[core]; }
@@ -92,6 +113,13 @@ class CacheHierarchy final {
   void audit(check::AuditReporter& reporter) const;
 
  private:
+  friend struct check::TestCorruptor;
+
+  /// Index of (core, L1 set of `addr`) in pending_fills_.
+  size_t fill_slot(CoreId core, Addr addr) const {
+    return core * l1_sets_ + l1_[core]->set_index(addr);
+  }
+
   /// Walks the hierarchy for one line; returns the level that hit
   /// (1/2/3) or 0 for memory, and accumulates lookup latency in `cycles`.
   u32 lookup_path(CoreId core, Addr addr, AccessType type, u32& cycles);
@@ -105,6 +133,8 @@ class CacheHierarchy final {
   void fill_level(Cache& cache, Addr addr, bool dirty, CoreId core,
                   bool is_l3);
   void complete_load(Tick issued, DoneFn done);
+  /// Queues a load hit for AMAT, to count once its completion tick passes.
+  void add_pending_hit(Tick done, u32 cycles);
   /// Moves the hits completed by now() into the AMAT counters.
   void settle_hits();
   /// Sums the pending hits completed by now() (without settling them).
@@ -119,6 +149,10 @@ class CacheHierarchy final {
   MemoryPort* memory_;
   /// Miss attempts rejected by a full MSHR file, retried on completions.
   std::vector<std::function<void()>> mshr_retry_;
+  /// Fills in flight per (core, L1 set): counted up where a miss registers
+  /// its waiter, down in the waiter.
+  std::vector<u32> pending_fills_;
+  u64 l1_sets_;
 
   /// A hit not yet counted into AMAT.
   struct PendingHit {

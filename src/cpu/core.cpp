@@ -1,6 +1,9 @@
 #include "cpu/core.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <optional>
+#include <span>
 
 #include "common/assert.hpp"
 
@@ -48,19 +51,98 @@ Tick Core::issue_tick(Tick from) const {
 
 void Core::step() {
   if (halted_) return;
-  retire_hits();
+  ahead_.clear();  // every record issued ahead precedes this step
+  retire_hits(sim_.now());
   if (current_) {
     // This step was planned at the current record's issue tick.
     if (stalled_) resume(resume_at_);
     CAMPS_ASSERT(issue_tick(cursor_) == sim_.now());
     issue();
   }
-  current_ = trace_->next();
-  if (!current_) {
-    halt();
-    return;
+  run_ahead();
+}
+
+void Core::run_ahead() {
+  for (u32 chained = 0;; ++chained) {
+    current_ = trace_->next();
+    if (!current_) break;
+    if (chained == kMaxChain || !issue_ahead()) {
+      plan();
+      return;
+    }
   }
-  plan();
+  // The trace ended: halt at the last issue, in a step of its own if that
+  // issue was ahead of now.
+  if (cursor_ == sim_.now()) {
+    halt();
+  } else {
+    step_ = sim_.schedule_late_at(cursor_, step_unit_, [this] { halt(); },
+                                  sim::EventSource::kCore);
+  }
+}
+
+bool Core::issue_ahead() {
+  const Tick at = issue_tick(cursor_);
+  const u64 instrs = instrs_of(*current_);
+  const AccessType type = current_->type;
+  if (crosses_phase(instrs)) return false;
+  if (type == AccessType::kRead) {
+    retire_hits(at);
+    if (window_busy(at) >= cfg_.max_outstanding_loads) return false;
+  }
+  const auto done = caches_->access_l1_ahead(id_, current_->addr, type, at);
+  if (!done) return false;
+  cursor_ = at;
+  issued_ += instrs;
+  if (type == AccessType::kRead) {
+    ++loads_;
+    ++outstanding_;
+    hits_.push_back(*done);
+  } else {
+    ++stores_;
+  }
+  ahead_.push_back(AheadRecord{at, instrs, type, current_->addr});
+  current_.reset();
+  return true;
+}
+
+bool Core::crosses_phase(u64 instrs) const {
+  const u64 after = issued_ + instrs;
+  if (!warmup_tick_) return after >= cfg_.warmup_instructions;
+  return !measure_tick_ &&
+         after >= cfg_.warmup_instructions + cfg_.measure_instructions;
+}
+
+std::span<const Core::AheadRecord> Core::unreached() const {
+  // The running event has reached (at, step_unit_) once `at` is past, or is
+  // now and a late event of this unit or a later one is running.
+  const Tick now = sim_.now();
+  const std::optional<u32> unit = sim_.running_late_unit();
+  auto first = ahead_.end();
+  while (first != ahead_.begin()) {
+    const Tick at = std::prev(first)->at;
+    if (at < now || (at == now && unit && *unit >= step_unit_)) break;
+    --first;
+  }
+  return {first, ahead_.end()};
+}
+
+u64 Core::instructions_issued() const {
+  u64 n = issued_;
+  for (const AheadRecord& r : unreached()) n -= r.instrs;
+  return n;
+}
+
+u64 Core::loads() const {
+  u64 n = loads_;
+  for (const AheadRecord& r : unreached()) n -= r.type == AccessType::kRead;
+  return n;
+}
+
+u64 Core::stores() const {
+  u64 n = stores_;
+  for (const AheadRecord& r : unreached()) n -= r.type == AccessType::kWrite;
+  return n;
 }
 
 void Core::issue() {
@@ -83,20 +165,23 @@ void Core::issue() {
   check_phases();
 }
 
+u32 Core::window_busy(Tick at, Tick* first_free) const {
+  u32 busy = misses_;
+  for (const Tick t : hits_) {
+    if (t > at) {
+      ++busy;
+      if (first_free != nullptr) *first_free = std::min(*first_free, t);
+    }
+  }
+  return busy;
+}
+
 void Core::plan() {
   const Tick issue_at = issue_tick(cursor_);
   if (current_->type == AccessType::kRead) {
-    // Window slots still taken at issue_at, absent miss fills: every miss,
-    // and every hit completing after it. The earliest such hit frees one.
-    u32 busy = misses_;
+    // The earliest hit completing after issue_at frees a slot.
     Tick first_free = kTickNever;
-    for (const Tick t : hits_) {
-      if (t > issue_at) {
-        ++busy;
-        first_free = std::min(first_free, t);
-      }
-    }
-    if (busy >= cfg_.max_outstanding_loads) {
+    if (window_busy(issue_at, &first_free) >= cfg_.max_outstanding_loads) {
       stalled_ = true;
       stall_start_ = issue_at;
       resume_at_ = first_free;
@@ -108,10 +193,9 @@ void Core::plan() {
   schedule_step(issue_at);
 }
 
-void Core::retire_hits() {
-  const Tick now = sim_.now();
+void Core::retire_hits(Tick at) {
   const auto done = std::remove_if(hits_.begin(), hits_.end(),
-                                   [now](Tick t) { return t <= now; });
+                                   [at](Tick t) { return t <= at; });
   outstanding_ -= static_cast<u32>(hits_.end() - done);
   hits_.erase(done, hits_.end());
 }

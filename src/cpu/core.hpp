@@ -9,14 +9,37 @@
 // memory-level parallelism that drive row-buffer behaviour, which is what
 // the paper's evaluation measures.
 //
-// Event cost: exactly one step per trace record, in the late phase of the
-// tick the record issues (sim/event_tags.hpp). A cache hit schedules
-// nothing: its completion tick is known at issue, and the core keeps it in
-// a small array, one slot per window entry at most. When the core plans a
-// load whose window will still be full at its issue tick, it plans the
-// stall too: the step goes straight to the issue tick after the earliest
-// hit completing later, and a miss fill that frees a slot first moves it
-// there by cancel + reschedule (docs/simulation-model.md).
+// Event cost: one step per chain of trace records, in the late phase of the
+// tick the chain's first record issues (sim/event_tags.hpp). After issuing
+// its record, a step keeps fetching and issues each next record at its own
+// issue tick, with no event, while the record
+//   (a) hits the core's L1,
+//   (b) in a set with no fill pending for this core,
+//   (c) finds a window slot free if it is a load, counting every miss in
+//       flight now as still in flight then, and
+//   (d) crosses neither the warmup nor the measurement boundary.
+// The first record that fails gets an ordinary step at its own tick; a
+// trace that ends mid-chain gets one at the last record's tick, to halt.
+//
+// Why a chain changes no result: the L1 is private, and between two of the
+// core's own accesses only its own miss fills change it. A set with no fill
+// pending stays as it is until the core's next miss, which issues after the
+// chain, so the hit, its LRU update and its dirty bit are exactly those of
+// the record's own step (cache/hierarchy.hpp counts the pending fills).
+// Misses in flight only land between now and the record's tick, so a load
+// that finds a free slot now finds one then. A cache hit schedules nothing:
+// its completion tick is known at issue, and the core keeps it in a small
+// array, one slot per window entry at most. Whatever reads the core's
+// counts sees them as of the running event: instructions_issued(), loads()
+// and stores() count a record issued ahead only once its place in the
+// queue, (issue tick, this core's late unit), is at or before the running
+// event's.
+//
+// When the core plans a load whose window will still be full at its issue
+// tick, it plans the stall too: the step goes straight to the issue tick
+// after the earliest hit completing later, and a miss fill that frees a
+// slot first moves it there by cancel + reschedule
+// (docs/simulation-model.md).
 //
 // Methodology hooks: the core reports when it crosses its warmup boundary
 // and its measurement boundary, mirroring the paper's warmup + detailed
@@ -25,6 +48,7 @@
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "cache/hierarchy.hpp"
@@ -55,7 +79,8 @@ class Core {
   void start();
 
   CoreId id() const { return id_; }
-  u64 instructions_issued() const { return issued_; }
+  /// Instructions issued as of the running event (see the header comment).
+  u64 instructions_issued() const;
   bool warmed_up() const { return warmup_tick_.has_value(); }
   bool measured() const { return measure_tick_.has_value(); }
   bool halted() const { return halted_; }
@@ -67,34 +92,62 @@ class Core {
   /// IPC over the measurement window. 0 before the window completes.
   double measured_ipc() const;
 
-  u64 loads() const { return loads_; }
-  u64 stores() const { return stores_; }
+  /// Loads and stores issued as of the running event.
+  u64 loads() const;
+  u64 stores() const;
   /// CPU cycles the core spent stalled on a full load window, as of now:
   /// a stall that an in-flight hit has already ended counts in full.
   u64 stall_cycles() const;
 
   /// Invariants: the in-flight hits fit the load window, the outstanding
-  /// loads are exactly the in-flight misses plus the pending hits, and the
-  /// step planned for the current record is pending at its tick: the
-  /// record's issue tick, or for a stalled record the issue tick after the
-  /// earliest hit that ends the stall (none if only a miss can).
+  /// loads are exactly the in-flight misses plus the pending hits, no
+  /// record issued ahead hit an L1 set with a fill pending for this core,
+  /// and the step planned for the first record not issued ahead is pending
+  /// at its tick: the record's issue tick, or for a stalled record the
+  /// issue tick after the earliest hit that ends the stall (none if only a
+  /// miss can).
   void audit(check::AuditReporter& reporter) const;
 
  private:
   friend struct check::TestCorruptor;
 
-  /// Issues the record due now (if any), fetches the next and plans it.
+  /// A record issued ahead of its step's place in the queue.
+  struct AheadRecord {
+    Tick at;     ///< Issue tick; the step would have run at (at, step_unit_).
+    u64 instrs;  ///< Instructions it retires (gap + 1).
+    AccessType type;
+    Addr addr;
+  };
+  /// Longest chain: bounds ahead_ and the records fetched past a run's end
+  /// (a chain ends early at no cost to exactness).
+  static constexpr u32 kMaxChain = 1024;
+
+  /// Issues the record due now (if any), then runs ahead.
   void step();
   void schedule_step(Tick when);
+  /// Fetches records, issuing each that qualifies at its issue tick (see the
+  /// header comment), and plans the first that does not.
+  void run_ahead();
+  /// Issues the current record ahead if it qualifies; false otherwise.
+  bool issue_ahead();
   /// Issues the current record at now().
   void issue();
+  /// True if `instrs` more instructions reach the next phase boundary.
+  bool crosses_phase(u64 instrs) const;
+  /// Window slots taken at `at`, absent miss fills: every miss, and every
+  /// hit completing after `at`. Lowers `*first_free` to the earliest such
+  /// hit, if given.
+  u32 window_busy(Tick at, Tick* first_free = nullptr) const;
+  /// Records issued ahead that the running event has not reached yet: a
+  /// suffix of ahead_.
+  std::span<const AheadRecord> unreached() const;
   /// Schedules the step at which the current record issues, stall
   /// included (see the header comment).
   void plan();
   /// A miss fill reached the core.
   void on_load_done();
-  /// Forgets the in-flight hits that completed by now.
-  void retire_hits();
+  /// Forgets the in-flight hits that completed by `at`.
+  void retire_hits(Tick at);
   /// Ends a stall at tick `at` (after stall_start_): local time catches up
   /// to the moment the window slot freed.
   void resume(Tick at);
@@ -114,7 +167,10 @@ class Core {
 
   std::optional<trace::TraceRecord> current_;
   Tick cursor_ = 0;  ///< Core-local time: when the last issue completed.
-  u64 issued_ = 0;
+  u64 issued_ = 0;   ///< Counts records issued ahead, as loads_/stores_ do.
+  /// The current chain's records issued ahead, in issue order; cleared by
+  /// the next step, which every one of them precedes.
+  std::vector<AheadRecord> ahead_;
   u32 outstanding_ = 0;  ///< Loads in flight: misses plus pending hits.
   u32 misses_ = 0;       ///< Loads waiting on a memory fill.
   /// Completion ticks of in-flight hits, at most one per window slot.

@@ -19,10 +19,17 @@ void cpu::Core::audit(check::AuditReporter& rep) const {
              std::to_string(outstanding_) + " loads outstanding, but " +
                  std::to_string(misses_) + " misses and " +
                  std::to_string(hits_.size()) + " hits are in flight");
+  // Records issued ahead precede the core's next miss, so the sets they
+  // hit must still have no fill pending for this core.
+  for (const AheadRecord& r : ahead_) {
+    rep.expect(caches_->pending_l1_fills(id_, r.addr) == 0, "core-ahead-fill",
+               "a record issued ahead at tick " + std::to_string(r.at) +
+                   " hit an L1 set with a fill pending");
+  }
   if (halted_ || !current_) return;
-  // The current record is planned: its step waits at the issue tick, or,
-  // for a stall, at the issue tick after the hit that ends it. A stall
-  // that only a miss can end has no step; the fill plans one.
+  // The first record not issued ahead is planned: its step waits at the
+  // issue tick, or, for a stall, at the issue tick after the hit that ends
+  // it. A stall that only a miss can end has no step; the fill plans one.
   const sim::EventQueue& queue = sim_.queue();
   const char* rule = stalled_ ? "core-stall-step" : "core-step";
   if (stalled_ && resume_at_ == kTickNever) {

@@ -40,6 +40,7 @@
 #include <cstddef>
 #include <cstring>
 #include <new>
+#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -220,6 +221,14 @@ class EventQueue final {
 
   /// Source tag of the earliest pending event. Requires !empty().
   EventSource next_source() const { return heap_.front().source; }
+
+  /// Late unit of the earliest pending event, or nullopt if it is an
+  /// ordinary event. Requires !empty().
+  std::optional<u32> next_late_unit() const {
+    const u64 key = heap_.front().seq;
+    if ((key & kLateBit) == 0) return std::nullopt;
+    return static_cast<u32>((key & ~kLateBit) >> kSeqBits);
+  }
 
   /// Pops and returns the earliest event. Requires !empty().
   std::pair<Tick, EventFn> pop();

@@ -39,6 +39,7 @@ u64 Simulator::run_until(Tick deadline) {
 bool Simulator::step() {
   if (queue_.empty()) return false;
   const EventSource source = queue_.next_source();
+  running_unit_ = queue_.next_late_unit();
   auto [when, fn] = queue_.pop();
   CAMPS_ASSERT(when >= now_);
   now_ = when;

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 
 #include "sim/event_queue.hpp"
 
@@ -56,6 +57,11 @@ class Simulator final {
   /// Executes exactly one event, if any. Returns false if queue was empty.
   bool step();
 
+  /// Late unit of the event running now, or of the last one run; nullopt
+  /// for an ordinary event, which runs before every late event of its tick.
+  /// With now(), this is the running event's place in the queue's order.
+  std::optional<u32> running_late_unit() const { return running_unit_; }
+
   u64 events_executed() const { return executed_; }
   /// Executed events per source tag; they sum to events_executed().
   const EventCounts& events_by_source() const { return by_source_; }
@@ -87,6 +93,7 @@ class Simulator final {
 
   EventQueue queue_;
   Tick now_ = 0;
+  std::optional<u32> running_unit_;
   u64 executed_ = 0;
   EventCounts by_source_{};
   u64 hook_every_ = 0;

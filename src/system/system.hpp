@@ -49,6 +49,8 @@ class System {
   hmc::HostController& memory() { return *host_; }
   const cpu::Core& core(CoreId id) const { return *cores_[id]; }
   StatRegistry& stats() { return stats_; }
+  /// Instructions all cores had issued when the measurement window opened.
+  u64 instructions_at_window_start() const { return instr_at_window_start_; }
   obs::TraceRecorder& trace() { return trace_; }
 
  private:

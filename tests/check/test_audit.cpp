@@ -77,6 +77,11 @@ struct TestCorruptor {
   static void drop_core_step(sim::Simulator& sim, cpu::Core& core) {
     sim.cancel(core.step_);
   }
+  static bool ran_ahead(const cpu::Core& core) { return !core.ahead_.empty(); }
+  static void plant_pending_fill(cache::CacheHierarchy& caches, CoreId core,
+                                 Addr addr) {
+    ++caches.pending_fills_[caches.fill_slot(core, addr)];
+  }
 };
 
 namespace {
@@ -359,6 +364,35 @@ TEST(CorruptionAudit, StalledCoreLostItsStep) {
   AuditReporter rep;
   core.audit(rep);
   EXPECT_TRUE(reports(rep, "core-stall-step")) << rep.report();
+}
+
+TEST(CorruptionAudit, RecordRanAheadIntoASetWithAPendingFill) {
+  // A trace of hits on one warm line runs ahead in a single chain; a fill
+  // planted on that line's L1 set afterwards breaks the rule that let it.
+  sim::Simulator sim;
+  SlowMemory memory(sim);
+  cache::HierarchyConfig caches_cfg;
+  caches_cfg.l1 = cache::CacheConfig{1024, 2, 64, 2};
+  caches_cfg.l2 = cache::CacheConfig{4096, 4, 64, 6};
+  caches_cfg.l3 = cache::CacheConfig{16384, 4, 64, 20};
+  cache::CacheHierarchy caches(sim, caches_cfg, 1, &memory);
+  caches.read(0, 0x100000, nullptr);
+  sim.run();
+  const trace::TraceRecord load{3, 0x100000, AccessType::kRead};
+  trace::VectorTraceSource trace(std::vector<trace::TraceRecord>(20, load));
+  cpu::Core core(sim, 0, cpu::CoreConfig{}, &trace, &caches, nullptr, nullptr);
+  core.start();
+  sim.step();
+  ASSERT_TRUE(TestCorruptor::ran_ahead(core));
+  {
+    AuditReporter rep;
+    core.audit(rep);
+    EXPECT_TRUE(rep.clean()) << rep.report();
+  }
+  TestCorruptor::plant_pending_fill(caches, 0, 0x100000);
+  AuditReporter rep;
+  core.audit(rep);
+  EXPECT_TRUE(reports(rep, "core-ahead-fill")) << rep.report();
 }
 
 TEST(CorruptionAudit, RowProfiledInRutAndArchivedInCt) {

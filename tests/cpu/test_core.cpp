@@ -235,10 +235,14 @@ TEST(Core, CacheHitsKeepIpcHigh) {
   EXPECT_GT(h.core->measured_ipc(), 2.0) << "L1-resident loop should be fast";
 }
 
-TEST(Core, EachTraceRecordCostsOneEvent) {
+TEST(Core, L1HitChainCostsOneStep) {
   // Two lines warmed into the L1 outside the core, then a trace that only
-  // hits them: each record costs its own step and nothing else, plus the
-  // step start() schedules.
+  // hits them: every record runs ahead in a chain, so the whole trace costs
+  // four steps. The step start() schedules issues records 1-24; record 25
+  // crosses the warmup boundary (100 instructions) and record 275 the
+  // measurement boundary (1,100), so each issues in a step of its own and
+  // chains on; the trace ends mid-chain, and the core halts in a step at
+  // record 500's tick.
   Harness h;
   for (const Addr a : {Addr{0x100000}, Addr{0x100040}}) {
     h.caches.read(0, a, nullptr);
@@ -254,11 +258,48 @@ TEST(Core, EachTraceRecordCostsOneEvent) {
   cfg.measure_instructions = 1000;
   h.build(recs, cfg);
   const u64 before = h.sim.events_executed();
+  const Tick t0 = h.sim.now();
   h.core->start();
   h.sim.run();
   EXPECT_EQ(h.memory.reads, 2u) << "every traced load hits the L1";
   EXPECT_EQ(h.core->loads(), kRecords);
-  EXPECT_EQ(h.sim.events_executed() - before, kRecords + 1);
+  EXPECT_EQ(h.sim.events_executed() - before, 4u);
+  // One cycle per record (gap 3 at width 4): the halt lands on record 500's
+  // issue tick, and the window spans records 25 to 275.
+  EXPECT_EQ(h.sim.now(), t0 + kRecords * sim::kCpuTicksPerCycle);
+  EXPECT_DOUBLE_EQ(h.core->measured_ipc(), 1000.0 / 250.0);
+}
+
+TEST(Core, PendingFillOnTheSetEndsTheChain) {
+  // L1 set 0 (2-way) holds A, then B. The trace misses on C in set 0, hits
+  // D in set 1 ahead of time, then loads A 400 cycles later. C's fill is in
+  // flight when the chain reaches A, so A must not run ahead: it issues in
+  // its own step, after the fill has evicted A (the LRU way), and misses
+  // the L1 into the L2, exactly as a step per record would have it.
+  Harness h;
+  const Addr a = 0x100000, b = a + 8 * 64, c = a + 16 * 64, d = a + 64;
+  for (const Addr line : {a, b, d}) h.caches.read(0, line, nullptr);
+  h.sim.run();
+  const u64 l1_hits = h.caches.l1(0).hits();
+  const u64 l1_misses = h.caches.l1(0).misses();
+  const u64 l2_hits = h.caches.l2(0).hits();
+  const sim::EventCounts before = h.sim.events_by_source();
+  h.build({{3, c, AccessType::kRead},
+           {3, d, AccessType::kRead},
+           {1599, a, AccessType::kRead}},
+          CoreConfig{});
+  h.core->start();
+  h.sim.run();
+  constexpr auto kCoreSource = static_cast<size_t>(sim::EventSource::kCore);
+  const u64 core_steps =
+      h.sim.events_by_source()[kCoreSource] - before[kCoreSource];
+  EXPECT_EQ(core_steps, 3u) << "start, C's step and A's own step";
+  EXPECT_EQ(h.memory.reads, 4u) << "the three warm lines, then C";
+  EXPECT_EQ(h.caches.l1(0).hits() - l1_hits, 1u) << "only D hits the L1";
+  EXPECT_EQ(h.caches.l1(0).misses() - l1_misses, 2u) << "C, then A";
+  EXPECT_EQ(h.caches.l2(0).hits() - l2_hits, 1u) << "A, from the L2";
+  EXPECT_FALSE(h.caches.l1(0).probe(b)) << "A's refill evicted B";
+  EXPECT_EQ(h.core->loads(), 3u);
 }
 
 TEST(Core, StallOnAHitResumesAtItsCompletion) {

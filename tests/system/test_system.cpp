@@ -131,6 +131,62 @@ TEST(System, CustomTraceSources) {
   EXPECT_GT(r.geomean_ipc, 0.0);
 }
 
+TEST(System, WindowOpenCountsRunAheadRecordsInUnitOrder) {
+  // Two cores over lines warmed into their L1s, one record per cycle each,
+  // so every record after the warmup runs ahead. The slow core retires one
+  // instruction per record and the fast one four, so the fast core crosses
+  // its warmup (40 instructions) at record 10 and its measurement boundary
+  // (440) at record 110, while the slow core crosses them at records 40
+  // and 440: the slow core opens and closes the window, and by then the
+  // fast core has issued records past that tick in a chain. A fast record
+  // at the tick of the slow core's step counts only if its core's step
+  // runs first in the tick, i.e. if the fast core has the lower id.
+  auto run = [](CoreId fast, u64& at_window_start) {
+    SystemConfig cfg = quick(prefetch::SchemeKind::kBase);
+    cfg.cores = 2;
+    cfg.core.warmup_instructions = 40;
+    cfg.core.measure_instructions = 400;
+    const Addr lines[2] = {0, 64};
+    std::vector<std::unique_ptr<trace::TraceSource>> traces;
+    for (CoreId c = 0; c < 2; ++c) {
+      std::vector<trace::TraceRecord> recs;
+      for (u64 i = 0; i < 600; ++i) {
+        // Odd records load, even ones store.
+        const auto type = i % 2 == 0 ? AccessType::kRead : AccessType::kWrite;
+        recs.push_back({c == fast ? 3u : 0u, lines[i % 2], type});
+      }
+      traces.push_back(std::make_unique<trace::VectorTraceSource>(recs));
+    }
+    System sys(cfg, std::move(traces));
+    for (CoreId c = 0; c < 2; ++c) {
+      for (const Addr line : lines) {
+        sys.caches().read(c, Addr{c} * cfg.core_slice_bytes() + line, nullptr);
+      }
+    }
+    sys.simulator().run_until(20'000 * sim::kCpuTicksPerCycle);
+    const RunResults r = sys.run();
+    at_window_start = sys.instructions_at_window_start();
+    return r;
+  };
+  for (const CoreId fast : {CoreId{0}, CoreId{1}}) {
+    SCOPED_TRACE(fast);
+    const CoreId slow = 1 - fast;
+    u64 at_window_start = 0;
+    const RunResults r = run(fast, at_window_start);
+    // The window opens and closes in the slow core's steps at records 40
+    // and 440; the fast core has reached record 40 / 440 by then only if
+    // it steps first.
+    const u64 fast_records = fast < slow ? 40 : 39;
+    EXPECT_EQ(at_window_start, 40 + 4 * fast_records);
+    EXPECT_EQ(r.cores[slow].loads, 220u);
+    EXPECT_EQ(r.cores[slow].stores, 220u);
+    EXPECT_EQ(r.cores[fast].loads, 220u);
+    EXPECT_EQ(r.cores[fast].stores, fast < slow ? 220u : 219u);
+    EXPECT_EQ(r.cores[fast].instructions, 400u);
+    EXPECT_FALSE(r.partial);
+  }
+}
+
 TEST(System, WrongTraceCountAsserts) {
   SystemConfig cfg = quick(prefetch::SchemeKind::kNone, 1000);
   std::vector<std::unique_ptr<trace::TraceSource>> traces;  // none for 8 cores
