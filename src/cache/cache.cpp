@@ -62,6 +62,37 @@ bool Cache::access_if_present(Addr addr, AccessType type) {
 
 bool Cache::probe(Addr addr) const { return find(addr) != nullptr; }
 
+size_t Cache::victim_slot(u64 set, const Line* mru) const {
+  const Line* const ways = lines_.data() + set * cfg_.ways;
+  const Line* victim = nullptr;
+  for (const Line* line = ways; line != ways + cfg_.ways; ++line) {
+    if (!line->valid) return static_cast<size_t>(line - lines_.data());
+    if (line == mru) continue;
+    if (victim == nullptr || line->lru < victim->lru) victim = line;
+  }
+  if (victim == nullptr) victim = mru;  // one way: the MRU line itself goes
+  return static_cast<size_t>(victim - lines_.data());
+}
+
+Victim Cache::victim_record(u64 set, const Line& line) const {
+  return Victim{.line_addr = (line.tag * cfg_.sets() + set) * cfg_.line_bytes,
+                .dirty = line.dirty};
+}
+
+std::optional<Victim> Cache::victim_of(Addr addr,
+                                       std::optional<Addr> mru) const {
+  if (find(addr) != nullptr) return std::nullopt;
+  const u64 set = set_index(addr);
+  const Line* keep = nullptr;
+  if (mru && set_index(*mru) == set) {
+    keep = find(*mru);
+    CAMPS_ASSERT(keep != nullptr);
+  }
+  const Line& victim = lines_[victim_slot(set, keep)];
+  if (!victim.valid) return std::nullopt;
+  return victim_record(set, victim);
+}
+
 std::optional<Victim> Cache::fill(Addr addr, bool dirty) {
   if (Line* present = find(addr)) {
     present->dirty |= dirty;
@@ -69,26 +100,17 @@ std::optional<Victim> Cache::fill(Addr addr, bool dirty) {
     return std::nullopt;
   }
   const u64 set = set_index(addr);
-  Line* victim = nullptr;
-  for (u32 w = 0; w < cfg_.ways; ++w) {
-    Line& line = lines_[set * cfg_.ways + w];
-    if (!line.valid) {
-      victim = &line;
-      break;
-    }
-    if (victim == nullptr || line.lru < victim->lru) victim = &line;
-  }
+  Line& victim = lines_[victim_slot(set, nullptr)];
   std::optional<Victim> out;
-  if (victim->valid) {
+  if (victim.valid) {
     ++evictions_;
-    if (victim->dirty) ++dirty_evictions_;
-    out = Victim{.line_addr = (victim->tag * cfg_.sets() + set) * cfg_.line_bytes,
-                 .dirty = victim->dirty};
+    if (victim.dirty) ++dirty_evictions_;
+    out = victim_record(set, victim);
   }
-  victim->valid = true;
-  victim->tag = tag_of(addr);
-  victim->dirty = dirty;
-  touch(set, *victim);
+  victim.valid = true;
+  victim.tag = tag_of(addr);
+  victim.dirty = dirty;
+  touch(set, victim);
   return out;
 }
 

@@ -5,6 +5,7 @@
 // and the shared L3 of Table I.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <vector>
 
@@ -49,6 +50,12 @@ class Cache {
   /// ORs the dirty bit.
   std::optional<Victim> fill(Addr addr, bool dirty);
 
+  /// The victim fill(addr) would return, with no side effects. If `mru` is
+  /// given, the choice is made as if that present line had just been
+  /// touched.
+  std::optional<Victim> victim_of(Addr addr,
+                                  std::optional<Addr> mru = std::nullopt) const;
+
   /// Removes the line if present; returns whether it was dirty.
   std::optional<bool> invalidate(Addr addr);
 
@@ -75,6 +82,12 @@ class Cache {
   u64 tag_of(Addr addr) const;
   Line* find(Addr addr);
   const Line* find(Addr addr) const;
+  /// Index in lines_ of the way of `set` a fill evicts: the first invalid
+  /// way, else the least recently used, counting `mru` (if not null) as
+  /// the most recent.
+  size_t victim_slot(u64 set, const Line* mru) const;
+  /// The victim record for a valid `line` of `set`.
+  Victim victim_record(u64 set, const Line& line) const;
   void touch(u64 set, Line& line);
 
   CacheConfig cfg_;

@@ -90,7 +90,7 @@ bool Core::issue_ahead() {
     retire_hits(at);
     if (window_busy(at) >= cfg_.max_outstanding_loads) return false;
   }
-  const auto done = caches_->access_l1_ahead(id_, current_->addr, type, at);
+  const auto done = caches_->access_ahead(id_, current_->addr, type, at);
   if (!done) return false;
   cursor_ = at;
   issued_ += instrs;

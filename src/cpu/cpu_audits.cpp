@@ -19,12 +19,14 @@ void cpu::Core::audit(check::AuditReporter& rep) const {
              std::to_string(outstanding_) + " loads outstanding, but " +
                  std::to_string(misses_) + " misses and " +
                  std::to_string(hits_.size()) + " hits are in flight");
-  // Records issued ahead precede the core's next miss, so the sets they
-  // hit must still have no fill pending for this core.
+  // Records issued ahead precede the core's next miss, so the L1 sets they
+  // went to must still have no fill pending for this core. For an L2 hit
+  // that also covers its L2 sets: the counter of an L1 set counts the fills
+  // into every L2 set that maps into it.
   for (const AheadRecord& r : ahead_) {
     rep.expect(caches_->pending_l1_fills(id_, r.addr) == 0, "core-ahead-fill",
                "a record issued ahead at tick " + std::to_string(r.at) +
-                   " hit an L1 set with a fill pending");
+                   " went to an L1 set with a fill pending");
   }
   if (halted_ || !current_) return;
   // The first record not issued ahead is planned: its step waits at the

@@ -104,12 +104,23 @@ void hmc::VaultController::audit(check::AuditReporter& rep) const {
   }
 
   // A vault with work must have its wake queued, or the work would sit
-  // until an unrelated arrival happened to wake it.
+  // until an unrelated arrival happened to wake it. A request still on its
+  // way needs a wake by the first DRAM edge at or after its arrival.
   const sim::EventQueue& queue = sim_.queue();
   if (has_work()) {
     rep.expect(queue.pending(wake_) && queue.time_of(wake_) >= sim_.now(),
                "vault-wake-pending",
                "work is queued but no wake event is pending");
+  }
+  if (!ingress_.empty() && !ingress_arrived()) {
+    const QueueEntry& next = ingress_.front();
+    const Tick edge = tick_of(edge_cycle(next.arrival));
+    rep.expect(queue.pending(wake_) && queue.time_of(wake_) <= edge,
+               "vault-wake-pending",
+               "request " + std::to_string(next.req.id) +
+                   " reaches the vault at tick " +
+                   std::to_string(next.arrival) +
+                   ", but no wake is pending by tick " + std::to_string(edge));
   }
 
   // Open-row reference bitmaps stay confined to the row's line count.
@@ -143,9 +154,13 @@ void hmc::VaultController::audit(check::AuditReporter& rep) const {
       auto targets = [&](const QueueEntry& e) {
         return e.bank == bank && e.row == row;
       };
+      // A request still on its way is not yet the vault's.
+      auto arrived_targets = [&](const QueueEntry& e) {
+        return e.arrival <= sim_.now() && targets(e);
+      };
       return std::any_of(rdq_.begin(), rdq_.end(), targets) ||
              std::any_of(wrq_.begin(), wrq_.end(), targets) ||
-             std::any_of(ingress_.begin(), ingress_.end(), targets) ||
+             std::any_of(ingress_.begin(), ingress_.end(), arrived_targets) ||
              std::any_of(actions_.begin(), actions_.end(),
                          [&](const PfAction& a) {
                            return a.bank == bank && a.row == row;

@@ -88,11 +88,9 @@ void HmcDevice::submit(const MemRequest& request, Tick now) {
   const Tick at_xbar = xfer.deliver;
   const auto routed = down_xbar_.route_ex(at_xbar, decoded.vault, request.id);
   if (routed.dropped) return;  // grant lost; host timeout recovers
-  const Tick at_vault = routed.deliver;
-  VaultController* vault = vaults_[decoded.vault].get();
-  sim_.schedule_at(at_vault, [vault, request, decoded, at_vault] {
-    vault->receive(request, decoded, at_vault);
-  }, sim::EventSource::kLink);
+  // The vault takes the request now and sees it from routed.deliver on
+  // (VaultController::receive), so the arrival costs no event.
+  vaults_[decoded.vault]->receive(request, decoded, routed.deliver);
 }
 
 void HmcDevice::on_vault_response(const MemRequest& request, VaultId vault,

@@ -5,7 +5,10 @@
 //   host controller -> serial link (vault % 4) -> crossbar -> vault
 //   vault -> crossbar -> serial link -> host controller
 // Links and the crossbar are timestamp-chained bandwidth models; vaults are
-// event-driven. One shared EnergyModel accumulates the whole cube's events.
+// event-driven. A request's trip down is computed when it is sent, so the
+// device hands it to its vault at once with its arrival tick and schedules
+// no event for it; only a read response's delivery to the host is an event.
+// One shared EnergyModel accumulates the whole cube's events.
 #pragma once
 
 #include <functional>
@@ -65,7 +68,9 @@ class HmcDevice {
             obs::TraceRecorder* trace = nullptr);
 
   /// Sends a demand request into the cube at `now` (reads get a later
-  /// deliver() call; writes are posted).
+  /// deliver() call; writes are posted). Unless the trip drops it, the
+  /// request is queued at its vault before this returns, to be seen there
+  /// from its arrival tick on.
   void submit(const MemRequest& request, Tick now);
 
   bool idle() const;

@@ -103,20 +103,24 @@ void VaultController::degrade_flush() {
 }
 
 void VaultController::receive(const MemRequest& request,
-                              const DecodedAddr& addr, Tick now) {
+                              const DecodedAddr& addr, Tick at) {
   CAMPS_ASSERT(addr.vault == id_);
+  CAMPS_ASSERT(at >= sim_.now());
+  // The arrived entries must stay a prefix of the FIFO.
+  CAMPS_ASSERT_MSG(ingress_.empty() || ingress_.back().arrival <= at,
+                   "arrivals at a vault out of tick order");
   QueueEntry entry;
   entry.req = request;
   entry.bank = addr.bank;
   entry.row = addr.row;
   entry.column = addr.column;
-  entry.enqueue_cycle = cycle_of(now);
+  entry.arrival = at;
   ingress_.push_back(entry);
-  schedule_wake_at_cycle(cycle_of(sim::dram_clock().next_edge(now)));
+  schedule_wake_at_cycle(edge_cycle(at));
 }
 
 bool VaultController::idle() const {
-  return ingress_.empty() && rdq_.empty() && wrq_.empty() &&
+  return !ingress_arrived() && rdq_.empty() && wrq_.empty() &&
          actions_.empty() && inflight_ == 0;
 }
 
@@ -139,8 +143,8 @@ u64 VaultController::next_action_cycle(u64 cycle) const {
   // from the gates every scheduler phase tests; each cycle skipped before
   // it would be a no-op wake (docs/simulation-model.md gives the argument).
   // The state these gates read changes only at a wake that acts, at an
-  // arrival (receive arms the next edge) or at a row fill (complete_fetch
-  // arms its own tick).
+  // arrival (the first edge at or after it is considered below) or at a
+  // row fill (complete_fetch arms its own tick).
   const u64 from = cycle + 1;
   // The drain mode has hysteresis, so a flip the queues call for must
   // happen on the next cycle, as it would with a wake every cycle, before
@@ -149,12 +153,13 @@ u64 VaultController::next_action_cycle(u64 cycle) const {
   const bool drain = draining_writes_;
   const std::deque<QueueEntry>& queue = drain ? wrq_ : rdq_;
   const u64 scanned = drain ? wrq_scanned_fills_ : rdq_scanned_fills_;
-  if (!ingress_.empty() || refresh_draining_ || next_drain_mode() != drain ||
+  if (ingress_arrived() || refresh_draining_ || next_drain_mode() != drain ||
       (!queue.empty() && scanned != buffer_fills_)) {
     return from;
   }
   u64 next = kTickNever;
   auto consider = [&next](u64 gate) { next = std::min(next, gate); };
+  if (!ingress_.empty()) consider(edge_cycle(ingress_.front().arrival));
   if (cfg_.refresh_enabled) {
     consider(std::max(refresh_.next_due(), refresh_.busy_until()));
   }
@@ -243,14 +248,14 @@ bool VaultController::serve_from_buffer(const QueueEntry& entry, u64 cycle,
   // A request that was already waiting when the row landed is a demand the
   // copy happened to serve, not something the prefetch anticipated: it
   // counts toward utilization but not usefulness.
-  const bool predates_insert = entry.enqueue_cycle < *stamp;
+  const bool predates_insert = cycle_of(entry.arrival) < *stamp;
   buffer_.access(key, entry.column, entry.req.type,
                  /*fill_touch=*/predates_insert);
   c_buf_hit_.inc();
   if (energy_ != nullptr) energy_->add(EnergyEvent::kBufferAccess);
   h_lat_buffer_hit_.sample(cfg_.buffer.hit_latency);
   h_lat_vault_queue_.sample(
-      cpu_cycles_of_dram(cycle - std::min(cycle, entry.enqueue_cycle)));
+      cpu_cycles_of_dram(cycle - std::min(cycle, cycle_of(entry.arrival))));
   if (trace_ != nullptr) {
     trace_->record(obs::Stage::kBufferHit, id_, entry.req.id, tick_of(cycle),
                    tick_of(cycle) + buffer_hit_ticks_);
@@ -270,7 +275,7 @@ bool VaultController::serve_from_buffer(const QueueEntry& entry, u64 cycle,
 }
 
 void VaultController::admit_ingress(u64 cycle) {
-  while (!ingress_.empty()) {
+  while (ingress_arrived()) {
     QueueEntry& entry = ingress_.front();
     if (serve_from_buffer(entry, cycle, !entry.miss_counted)) {
       ingress_.pop_front();
@@ -482,7 +487,7 @@ bool VaultController::issue_demand_column(u64 cycle) {
     }
 
     note_row_reference(it->bank, it->row, it->column);
-    const u64 waited = cycle - std::min(cycle, it->enqueue_cycle);
+    const u64 waited = cycle - std::min(cycle, cycle_of(it->arrival));
     h_queue_wait_.sample(waited);
     h_lat_vault_queue_.sample(cpu_cycles_of_dram(waited));
     if (trace_ != nullptr && waited > 0) {

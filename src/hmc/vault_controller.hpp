@@ -11,10 +11,19 @@
 // not on the DRAM command bus). After each wake the controller sleeps until
 // next_action_cycle(), the first DRAM cycle at which some timing gate lets
 // it act (or its next refresh deadline), so it never wakes just to find
-// nothing legal. An arrival wakes it at the next DRAM edge and a row fill
-// at the fill's own tick. A wake is a late event keyed by the vault id: it
-// runs after every ordinary event of its tick (so it sees that tick's
-// arrivals and row fills), and same-tick wakes run in vault-id order.
+// nothing legal. A row fill wakes it at the fill's own tick. A wake is a
+// late event keyed by the vault id: it runs after every ordinary event of
+// its tick (so it sees that tick's row fills), and same-tick wakes run in
+// vault-id order.
+//
+// Arrivals cost no event. The device hands each request over when it sends
+// it, with the tick it will reach the vault (the link and crossbar are
+// timestamp-chained); receive() queues it in the ingress FIFO with that
+// tick and arms the wake at the first DRAM edge at or after it. Only the
+// arrived prefix of the FIFO (arrival <= now) is ingress: a wake admits
+// only those entries, and has_work(), idle() and the audits ignore the
+// rest. Arrivals at one vault come in tick order (one link and one crossbar
+// port, both FIFO), so the arrived entries are always a prefix.
 #pragma once
 
 #include <array>
@@ -81,10 +90,13 @@ class VaultController final {
   VaultController(const VaultController&) = delete;
   VaultController& operator=(const VaultController&) = delete;
 
-  /// Accepts a demand request (already decoded to this vault) at `now`.
-  void receive(const MemRequest& request, const DecodedAddr& addr, Tick now);
+  /// Accepts a demand request (already decoded to this vault) that reaches
+  /// the vault at tick `at` (>= now(), and no earlier than the previous
+  /// arrival). The vault sees it from that tick on.
+  void receive(const MemRequest& request, const DecodedAddr& addr, Tick at);
 
-  /// True when all queues, actions, and in-flight work have drained.
+  /// True when all queues, actions, and in-flight work have drained
+  /// (requests still on their way to the vault do not count).
   bool idle() const;
 
   VaultId id() const { return id_; }
@@ -131,7 +143,8 @@ class VaultController final {
     BankId bank = 0;
     RowId row = 0;
     LineId column = 0;
-    u64 enqueue_cycle = 0;
+    /// Tick the request reaches the vault.
+    Tick arrival = 0;
     bool started = false;  ///< First command already issued for it.
     /// Its ingress buffer lookup already counted a miss; a lookup repeated
     /// while the queue is full must not count another.
@@ -154,9 +167,13 @@ class VaultController final {
   /// stream has passed is pure waste.
   static constexpr u64 kPrefetchAgingCycles = 12;
 
+  /// True if the front of the ingress FIFO has reached the vault.
+  bool ingress_arrived() const {
+    return !ingress_.empty() && ingress_.front().arrival <= sim_.now();
+  }
   /// True while something is queued for the scheduler to act on.
   bool has_work() const {
-    return !ingress_.empty() || !rdq_.empty() || !wrq_.empty() ||
+    return ingress_arrived() || !rdq_.empty() || !wrq_.empty() ||
            !actions_.empty() || refresh_draining_;
   }
 
@@ -200,6 +217,10 @@ class VaultController final {
 
   Tick tick_of(u64 cycle) const { return cycle * sim::kDramTicksPerCycle; }
   u64 cycle_of(Tick tick) const { return tick / sim::kDramTicksPerCycle; }
+  /// The first DRAM cycle whose edge is at or after `tick`.
+  u64 edge_cycle(Tick tick) const {
+    return cycle_of(sim::dram_clock().next_edge(tick));
+  }
 
   sim::Simulator& sim_;
   VaultId id_;
@@ -212,7 +233,7 @@ class VaultController final {
   RespondFn respond_;
   Tick buffer_hit_ticks_;
 
-  std::deque<QueueEntry> ingress_;
+  std::deque<QueueEntry> ingress_;  ///< In arrival order; see the header.
   std::deque<QueueEntry> rdq_;
   std::deque<QueueEntry> wrq_;
   std::deque<PfAction> actions_;

@@ -29,9 +29,9 @@ namespace camps::sim {
 /// The layer that scheduled an event.
 enum class EventSource : u8 {
   kCore,   ///< Core steps.
-  kCache,  ///< Cache lookups: hit completions, miss launches.
+  kCache,  ///< Cache miss launches (hits schedule no event).
   kHost,   ///< Host controller timers and retry back-offs.
-  kLink,   ///< Link and crossbar deliveries (to a vault, to the host).
+  kLink,   ///< Read responses reaching the host (arrivals are free).
   kVault,  ///< Vault wakes, bank completions, prefetch fills, responses.
   kEpoch,  ///< Epoch sampler ticks.
   kOther,  ///< Untagged (tests, tools, harnesses).

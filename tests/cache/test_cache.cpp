@@ -35,6 +35,33 @@ TEST(Cache, ColdMissThenHit) {
   EXPECT_EQ(c.misses(), 1u);
 }
 
+TEST(Cache, VictimOfPredictsFillWithoutSideEffects) {
+  Cache c(tiny());  // 4 sets x 2 ways
+  const Addr a = 0x1000, b = a + 4 * 64, d = a + 8 * 64;  // all in one set
+  EXPECT_FALSE(c.victim_of(a)) << "a free way takes the fill";
+  c.fill(a, true);
+  c.fill(b, false);
+  EXPECT_FALSE(c.victim_of(b)) << "a present line displaces nothing";
+  const auto predicted = c.victim_of(d);
+  ASSERT_TRUE(predicted);
+  EXPECT_EQ(predicted->line_addr, a);
+  EXPECT_TRUE(predicted->dirty);
+  // With a kept most recently used, b is the line to go.
+  const auto with_mru = c.victim_of(d, a);
+  ASSERT_TRUE(with_mru);
+  EXPECT_EQ(with_mru->line_addr, b);
+  EXPECT_EQ(c.evictions(), 0u) << "predicting evicts nothing";
+  const auto actual = c.fill(d, false);
+  ASSERT_TRUE(actual);
+  EXPECT_EQ(actual->line_addr, predicted->line_addr);
+  // One way: the most recently used line itself goes.
+  Cache direct(CacheConfig{256, 1, 64, 2});
+  direct.fill(a, true);
+  const auto only = direct.victim_of(a + 4 * 64, a);
+  ASSERT_TRUE(only);
+  EXPECT_EQ(only->line_addr, a);
+}
+
 TEST(Cache, ProbeHasNoSideEffects) {
   Cache c(tiny());
   c.fill(0x1000, false);

@@ -67,6 +67,12 @@ struct TestCorruptor {
   static void drop_vault_wake(hmc::VaultController& vault) {
     vault.wake_ = sim::EventHandle{};
   }
+  static void postpone_vault_wake(sim::Simulator& sim,
+                                  hmc::VaultController& vault, Tick when) {
+    sim.cancel(vault.wake_);
+    vault.wake_ = sim.schedule_late_at(when, sim::late_unit::vault(vault.id_),
+                                       [&vault] { vault.wake(); });
+  }
   static void cross_rut_ct(prefetch::CampsScheme& scheme, BankId bank,
                            RowId row) {
     scheme.ct_.insert(BankRow{bank, row});
@@ -319,6 +325,33 @@ TEST(CorruptionAudit, VaultWithWorkLostItsWake) {
   EXPECT_TRUE(reports(rep, "vault-wake-pending")) << rep.report();
 }
 
+TEST(CorruptionAudit, VaultWakeMissesAnArrival) {
+  // A request still on its way needs a wake by the first DRAM edge at or
+  // after its arrival; a wake parked past it would leave it waiting.
+  sim::Simulator sim;
+  StatRegistry stats;
+  auto scheme = prefetch::make_scheme(prefetch::SchemeKind::kNone);
+  auto respond = [](const hmc::MemRequest&, Tick) {};
+  hmc::VaultController vault(sim, 0, hmc::VaultConfig{}, std::move(scheme),
+                             nullptr, stats, respond);
+  hmc::DecodedAddr addr;
+  addr.bank = 3;
+  addr.row = 12;
+  hmc::MemRequest req;
+  req.id = 1;
+  const Tick arrival = 10 * sim::kDramTicksPerCycle + 7;
+  vault.receive(req, addr, arrival);
+  {
+    AuditReporter rep;
+    vault.audit(rep);
+    EXPECT_TRUE(rep.clean()) << rep.report();
+  }
+  TestCorruptor::postpone_vault_wake(sim, vault, 100 * sim::kDramTicksPerCycle);
+  AuditReporter rep;
+  vault.audit(rep);
+  EXPECT_TRUE(reports(rep, "vault-wake-pending")) << rep.report();
+}
+
 /// Memory that answers every read after 200 cycles.
 class SlowMemory final : public cache::MemoryPort {
  public:
@@ -390,6 +423,42 @@ TEST(CorruptionAudit, RecordRanAheadIntoASetWithAPendingFill) {
     EXPECT_TRUE(rep.clean()) << rep.report();
   }
   TestCorruptor::plant_pending_fill(caches, 0, 0x100000);
+  AuditReporter rep;
+  core.audit(rep);
+  EXPECT_TRUE(reports(rep, "core-ahead-fill")) << rep.report();
+}
+
+TEST(CorruptionAudit, L2HitRanAheadIntoASetWithAPendingFill) {
+  // Three warm lines share L1 set 0 (2-way), so a trace cycling over them
+  // misses the L1 and hits the L2 on every record; the records run ahead
+  // in one chain. A fill planted on that set breaks the rule that let them.
+  sim::Simulator sim;
+  SlowMemory memory(sim);
+  cache::HierarchyConfig caches_cfg;
+  caches_cfg.l1 = cache::CacheConfig{1024, 2, 64, 2};
+  caches_cfg.l2 = cache::CacheConfig{4096, 4, 64, 6};
+  caches_cfg.l3 = cache::CacheConfig{16384, 4, 64, 20};
+  cache::CacheHierarchy caches(sim, caches_cfg, 1, &memory);
+  const Addr lines[3] = {0x100000, 0x100200, 0x100400};
+  for (const Addr line : lines) caches.read(0, line, nullptr);
+  sim.run();
+  std::vector<trace::TraceRecord> records;
+  for (u32 i = 0; i < 20; ++i) {
+    records.push_back({7, lines[i % 3], AccessType::kRead});
+  }
+  trace::VectorTraceSource trace(records);
+  cpu::Core core(sim, 0, cpu::CoreConfig{}, &trace, &caches, nullptr, nullptr);
+  const u64 l2_hits = caches.l2(0).hits();
+  core.start();
+  sim.step();
+  ASSERT_TRUE(TestCorruptor::ran_ahead(core));
+  ASSERT_GT(caches.l2(0).hits(), l2_hits) << "the chain holds L2 hits";
+  {
+    AuditReporter rep;
+    core.audit(rep);
+    EXPECT_TRUE(rep.clean()) << rep.report();
+  }
+  TestCorruptor::plant_pending_fill(caches, 0, lines[0]);
   AuditReporter rep;
   core.audit(rep);
   EXPECT_TRUE(reports(rep, "core-ahead-fill")) << rep.report();

@@ -270,6 +270,87 @@ TEST(Core, L1HitChainCostsOneStep) {
   EXPECT_DOUBLE_EQ(h.core->measured_ipc(), 1000.0 / 250.0);
 }
 
+TEST(Core, L2HitChainCostsOneStep) {
+  // Three lines warmed outside the core share L1 set 0 (2-way), so a trace
+  // cycling over them misses the L1 and hits the L2 on every record. The
+  // victims are clean, so each L2 hit runs ahead, and the trace costs the
+  // same four steps as an L1-resident one (see L1HitChainCostsOneStep).
+  Harness h;
+  const Addr lines[3] = {0x100000, 0x100200, 0x100400};
+  for (const Addr a : lines) h.caches.read(0, a, nullptr);
+  h.sim.run();
+  const u64 l1_hits = h.caches.l1(0).hits();
+  const u64 l2_hits = h.caches.l2(0).hits();
+  constexpr u64 kRecords = 500;
+  std::vector<trace::TraceRecord> recs;
+  for (u64 i = 0; i < kRecords; ++i) {
+    recs.push_back({3, lines[i % 3], AccessType::kRead});
+  }
+  CoreConfig cfg;
+  cfg.warmup_instructions = 100;
+  cfg.measure_instructions = 1000;
+  h.build(recs, cfg);
+  const u64 before = h.sim.events_executed();
+  const Tick t0 = h.sim.now();
+  h.core->start();
+  h.sim.run();
+  EXPECT_EQ(h.memory.reads, 3u) << "only the warm-up touched memory";
+  EXPECT_EQ(h.caches.l1(0).hits(), l1_hits) << "every load misses the L1";
+  EXPECT_EQ(h.caches.l2(0).hits() - l2_hits, kRecords);
+  EXPECT_EQ(h.core->loads(), kRecords);
+  EXPECT_EQ(h.sim.events_executed() - before, 4u);
+  // One cycle per record: an 8-cycle hit leaves at most 7 of the 8 window
+  // slots taken when the next record issues, so nothing stalls.
+  EXPECT_EQ(h.sim.now(), t0 + kRecords * sim::kCpuTicksPerCycle);
+  EXPECT_EQ(h.core->stall_cycles(), 0u);
+  EXPECT_DOUBLE_EQ(h.core->measured_ipc(), 1000.0 / 250.0);
+  // The last hits complete 8 cycles after the halt.
+  h.sim.run_until(h.sim.now() + 8 * sim::kCpuTicksPerCycle);
+  EXPECT_DOUBLE_EQ(h.caches.amat_cycles(),
+                   (3.0 * (2 + 6 + 20 + 200) + kRecords * 8.0) /
+                       (3 + kRecords));
+}
+
+TEST(Core, L2HitEvictingADirtyL2VictimEndsTheChain) {
+  // L1 set 0 and L2 set 0 are built so that an L2 hit on X1 evicts the
+  // dirty L1 line V, which the L2 no longer holds, and V's writeback then
+  // evicts the dirty X2 from the L2 into the shared L3. That hit must not
+  // run ahead: it issues in a step of its own, after the L1 hit on X4
+  // chains. The L1 hit on X1 after it chains again, so the trace costs
+  // three steps.
+  Harness h;
+  const Addr v = 0x100000;  // L1 set 0, L2 set 0
+  const Addr x[5] = {0, v + 1024, v + 2048, v + 3072, v + 4096};
+  // V is written first, then X1-X4, each written while V is kept MRU in
+  // the L1: every X evicts the X before it from the L1 into the L2 dirty,
+  // and X4's fill pushes V (clean there) out of the 4-way L2 set.
+  h.caches.write(0, v);
+  h.sim.run();
+  for (int i = 1; i <= 4; ++i) {
+    h.caches.write(0, v);  // an L1 hit: V becomes MRU
+    h.caches.write(0, x[i]);
+    h.sim.run();
+  }
+  ASSERT_TRUE(h.caches.l1(0).probe(v));
+  ASSERT_FALSE(h.caches.l2(0).probe(v));
+  ASSERT_TRUE(h.caches.l2(0).probe(x[1]) && h.caches.l2(0).probe(x[2]));
+  ASSERT_FALSE(h.caches.l1(0).probe(x[1]));
+
+  h.build({{3, x[4], AccessType::kRead},
+           {3, x[1], AccessType::kRead},
+           {3, x[1], AccessType::kRead}},
+          CoreConfig{});
+  const sim::EventCounts before = h.sim.events_by_source();
+  h.core->start();
+  h.sim.run();
+  constexpr auto kCoreSource = static_cast<size_t>(sim::EventSource::kCore);
+  EXPECT_EQ(h.sim.events_by_source()[kCoreSource] - before[kCoreSource], 3u)
+      << "start, X1's own step, and the halt after X1's L1 hit";
+  EXPECT_EQ(h.core->loads(), 3u);
+  EXPECT_TRUE(h.caches.l2(0).probe(v)) << "V was written back to the L2";
+  EXPECT_FALSE(h.caches.l2(0).probe(x[2])) << "and evicted X2 from it";
+}
+
 TEST(Core, PendingFillOnTheSetEndsTheChain) {
   // L1 set 0 (2-way) holds A, then B. The trace misses on C in set 0, hits
   // D in set 1 ahead of time, then loads A 400 cycles later. C's fill is in

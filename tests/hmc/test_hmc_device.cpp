@@ -89,6 +89,23 @@ TEST(HostController, ResetStatsClearsLatency) {
   EXPECT_DOUBLE_EQ(h.host->mean_read_latency_cycles(), 0.0);
 }
 
+TEST(HmcDevice, LinkEventsOnlyForHostDeliveries) {
+  // A request's trip to its vault is computed when it is sent, so it costs
+  // no event: N reads cost N link events, one per response reaching the
+  // host, and posted writes cost none.
+  DeviceHarness h;
+  constexpr u64 kReads = 64;
+  u64 completed = 0;
+  for (u64 i = 0; i < kReads; ++i) {
+    h.host->read(0x1000 + 4096 * i, 0, [&](const MemRequest&) { ++completed; });
+    h.host->write(0x800000 + 4096 * i, 0);
+  }
+  h.sim.run();
+  EXPECT_EQ(completed, kReads);
+  constexpr auto kLink = static_cast<size_t>(sim::EventSource::kLink);
+  EXPECT_EQ(h.sim.events_by_source()[kLink], kReads);
+}
+
 TEST(HmcDevice, RequestsRouteToCorrectVault) {
   DeviceHarness h;
   const AddressMap& map = h.host->device().map();

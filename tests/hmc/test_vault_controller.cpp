@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "hmc/vault_controller.hpp"
@@ -278,6 +279,41 @@ TEST(VaultController, IdleVaultKeepsOneWakeEventPerTick) {
   }
   EXPECT_LE(most_pending, 2u);
   EXPECT_EQ(h.responses.size(), static_cast<size_t>(kRequests));
+}
+
+TEST(VaultController, ArrivalWakesAVaultParkedAtItsRefreshDeadline) {
+  // Both requests are handed over at tick 0; the second reaches the vault
+  // off an edge, long after the first has drained and the vault has parked
+  // its wake at the refresh deadline. The wake that parks it must also
+  // count the arrival: the second read opens its bank at the first edge at
+  // or after it and returns tRCD + tCL + tBURST later.
+  Harness h(prefetch::SchemeKind::kNone, /*refresh=*/true);
+  const auto& t = dram::default_timing();
+  auto request = [&](BankId bank, LineId column) {
+    MemRequest req;
+    req.id = h.next_id++;
+    req.type = AccessType::kRead;
+    DecodedAddr d;
+    d.bank = bank;
+    d.row = 5;
+    d.column = column;
+    return std::pair{req, d};
+  };
+  const auto [first, first_addr] = request(0, 0);
+  const auto [second, second_addr] = request(1, 3);
+  const Tick arrival = 300 * kDram + 7;
+  ASSERT_LT(arrival, t.tREFI * kDram) << "must arrive before the deadline";
+  h.vault->receive(first, first_addr, 0);
+  h.vault->receive(second, second_addr, arrival);
+  h.sim.run_until(arrival - 1);
+  ASSERT_TRUE(h.response_time(first.id).has_value());
+  EXPECT_FALSE(h.response_time(second.id).has_value());
+  EXPECT_TRUE(h.vault->idle()) << "a request on its way is not the vault's";
+  h.run(arrival + 100 * kDram);
+  const Tick edge = sim::dram_clock().next_edge(arrival);
+  ASSERT_TRUE(h.response_time(second.id).has_value());
+  EXPECT_EQ(*h.response_time(second.id),
+            edge + (t.tRCD + t.tCL + t.tBURST) * kDram);
 }
 
 TEST(VaultController, LoneWriteIssuesTrcdAfterItsActivate) {
