@@ -5,8 +5,7 @@
 #
 # Extra args are passed to every figure/table bench; --jobs=N runs each
 # bench's simulations on N worker threads (tables are byte-identical for any
-# N, so parallelism is purely a wall-clock lever). The google-benchmark
-# micro-benchmarks take their own flags and are special-cased.
+# N, so parallelism is purely a wall-clock lever).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,13 +16,7 @@ shift || true
   for b in build/bench/bench_*; do
     name="$(basename "$b")"
     echo "### $name"
-    if [ "$name" = bench_micro_components ]; then
-      # google-benchmark >= 1.8 wants a unit suffix; older versions reject it.
-      "$b" --benchmark_min_time=0.05s 2>/dev/null ||
-        "$b" --benchmark_min_time=0.05
-    else
-      "$b" --quiet "$@"
-    fi
+    "$b" --quiet "$@"
     echo
   done
 } 2>&1 | tee "$out"

@@ -122,6 +122,33 @@ void hmc::VaultController::audit(check::AuditReporter& rep) const {
                    std::to_string(next.arrival) +
                    ", but no wake is pending by tick " + std::to_string(edge));
   }
+  // During a refresh drain refresh_step closes banks in index order and
+  // waits on the first bank that is not precharged: an open (or opening)
+  // bank until its PRE gate, a precharging one until its tRP ends. With no
+  // such bank the REF launches on the next edge. The wake must come by then.
+  if (refresh_draining_) {
+    const u64 edge = edge_cycle(sim_.now());
+    u64 step = edge;
+    std::string blocker = "no bank";
+    for (size_t b = 0; b < banks_.size(); ++b) {
+      const dram::BankState s = banks_[b].state(edge);
+      if (s == dram::BankState::kActive ||
+          s == dram::BankState::kActivating) {
+        step = banks_[b].earliest_precharge(edge);
+      } else if (s == dram::BankState::kPrecharging) {
+        step = banks_[b].earliest_activate(edge);
+      } else {
+        continue;
+      }
+      blocker = "bank " + std::to_string(b);
+      break;
+    }
+    rep.expect(queue.pending(wake_) && queue.time_of(wake_) <= tick_of(step),
+               "vault-wake-pending",
+               "refresh drain blocked by " + blocker + " can step at cycle " +
+                   std::to_string(step) + ", but no wake is pending by tick " +
+                   std::to_string(tick_of(step)));
+  }
 
   // Open-row reference bitmaps stay confined to the row's line count.
   const u64 line_mask =

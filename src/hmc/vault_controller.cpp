@@ -146,6 +146,29 @@ u64 VaultController::next_action_cycle(u64 cycle) const {
   // arrival (the first edge at or after it is considered below) or at a
   // row fill (complete_fetch arms its own tick).
   const u64 from = cycle + 1;
+  if (ingress_arrived()) return from;
+  u64 next = kTickNever;
+  auto consider = [&next](u64 gate) { next = std::min(next, gate); };
+  if (!ingress_.empty()) consider(edge_cycle(ingress_.front().arrival));
+  if (refresh_draining_) {
+    // refresh_step issues nothing else until the REF launches: it closes
+    // banks in index order and waits on the first one not precharged, at
+    // that bank's PRE gate or the end of its tRP. Once every bank is
+    // precharged the REF launches at once.
+    u64 gate = from;
+    for (const dram::Bank& bank : banks_) {
+      if (bank.open_row(from)) {
+        gate = bank.earliest_precharge(from);
+        break;
+      }
+      if (bank.state(from) == dram::BankState::kPrecharging) {
+        gate = bank.earliest_activate(from);
+        break;
+      }
+    }
+    consider(gate);
+    return std::max(next, from);
+  }
   // The drain mode has hysteresis, so a flip the queues call for must
   // happen on the next cycle, as it would with a wake every cycle, before
   // a later arrival can change the queues again. Without a pending flip
@@ -153,13 +176,10 @@ u64 VaultController::next_action_cycle(u64 cycle) const {
   const bool drain = draining_writes_;
   const std::deque<QueueEntry>& queue = drain ? wrq_ : rdq_;
   const u64 scanned = drain ? wrq_scanned_fills_ : rdq_scanned_fills_;
-  if (ingress_arrived() || refresh_draining_ || next_drain_mode() != drain ||
+  if (next_drain_mode() != drain ||
       (!queue.empty() && scanned != buffer_fills_)) {
     return from;
   }
-  u64 next = kTickNever;
-  auto consider = [&next](u64 gate) { next = std::min(next, gate); };
-  if (!ingress_.empty()) consider(edge_cycle(ingress_.front().arrival));
   if (cfg_.refresh_enabled) {
     consider(std::max(refresh_.next_due(), refresh_.busy_until()));
   }

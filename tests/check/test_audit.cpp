@@ -73,6 +73,9 @@ struct TestCorruptor {
     vault.wake_ = sim.schedule_late_at(when, sim::late_unit::vault(vault.id_),
                                        [&vault] { vault.wake(); });
   }
+  static bool refresh_draining(const hmc::VaultController& vault) {
+    return vault.refresh_draining_;
+  }
   static void cross_rut_ct(prefetch::CampsScheme& scheme, BankId bank,
                            RowId row) {
     scheme.ct_.insert(BankRow{bank, row});
@@ -347,6 +350,40 @@ TEST(CorruptionAudit, VaultWakeMissesAnArrival) {
     EXPECT_TRUE(rep.clean()) << rep.report();
   }
   TestCorruptor::postpone_vault_wake(sim, vault, 100 * sim::kDramTicksPerCycle);
+  AuditReporter rep;
+  vault.audit(rep);
+  EXPECT_TRUE(reports(rep, "vault-wake-pending")) << rep.report();
+}
+
+TEST(CorruptionAudit, DrainingVaultSleepsPastItsBlockingBank) {
+  // A row opened 15 cycles before tREFI holds the refresh drain until its
+  // PRE gate, ACT + tRAS. A wake parked one cycle past that gate would hold
+  // the refresh, and every demand behind it, back.
+  sim::Simulator sim;
+  StatRegistry stats;
+  auto scheme = prefetch::make_scheme(prefetch::SchemeKind::kNone);
+  auto respond = [](const hmc::MemRequest&, Tick) {};
+  hmc::VaultConfig cfg;
+  cfg.refresh_enabled = true;
+  hmc::VaultController vault(sim, 0, cfg, std::move(scheme), nullptr, stats,
+                             respond);
+  const auto& t = cfg.timing;
+  hmc::DecodedAddr addr;
+  addr.bank = 3;
+  addr.row = 12;
+  hmc::MemRequest req;
+  req.id = 1;
+  const u64 act = t.tREFI - 15;
+  vault.receive(req, addr, act * sim::kDramTicksPerCycle);
+  sim.run_until(t.tREFI * sim::kDramTicksPerCycle);
+  ASSERT_TRUE(TestCorruptor::refresh_draining(vault));
+  {
+    AuditReporter rep;
+    vault.audit(rep);
+    EXPECT_TRUE(rep.clean()) << rep.report();
+  }
+  TestCorruptor::postpone_vault_wake(
+      sim, vault, (act + t.tRAS + 1) * sim::kDramTicksPerCycle);
   AuditReporter rep;
   vault.audit(rep);
   EXPECT_TRUE(reports(rep, "vault-wake-pending")) << rep.report();

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "energy/energy_model.hpp"
 #include "hmc/vault_controller.hpp"
 #include "prefetch/factory.hpp"
 
@@ -19,6 +20,7 @@ struct Harness {
   sim::Simulator sim;
   StatRegistry stats;
   std::vector<std::pair<u64, Tick>> responses;  // (request id, ready tick)
+  energy::EnergyModel energy;  ///< Counts the vault's DRAM commands.
   std::unique_ptr<VaultController> vault;
   u64 next_id = 1;
 
@@ -30,7 +32,7 @@ struct Harness {
     cfg.refresh_enabled = refresh;
     cfg.page_policy = policy;
     vault = std::make_unique<VaultController>(
-        sim, 0, cfg, prefetch::make_scheme(scheme, params), nullptr, stats,
+        sim, 0, cfg, prefetch::make_scheme(scheme, params), &energy, stats,
         [this](const MemRequest& req, Tick ready) {
           responses.emplace_back(req.id, ready);
         });
@@ -314,6 +316,53 @@ TEST(VaultController, ArrivalWakesAVaultParkedAtItsRefreshDeadline) {
   ASSERT_TRUE(h.response_time(second.id).has_value());
   EXPECT_EQ(*h.response_time(second.id),
             edge + (t.tRCD + t.tCL + t.tBURST) * kDram);
+}
+
+TEST(VaultController, RefreshDrainSleepsUntilTheBlockingBankCanStep) {
+  // A row opened 15 cycles before tREFI holds the drain: its PRE waits for
+  // ACT + tRAS, the REF for that PRE + tRP, and a read arriving during the
+  // drain opens its bank only when tRFC ends. In between the vault wakes
+  // at the drain's start, at the arrival and at the PRE and REF cycles;
+  // with the data response of the first read that makes five
+  // vault-source events.
+  Harness h(prefetch::SchemeKind::kNone, /*refresh=*/true);
+  const auto& t = dram::default_timing();
+  const u64 act = t.tREFI - 15;
+  const u64 arrive = t.tREFI + 5;
+  const u64 pre = act + t.tRAS;
+  const u64 ref = pre + t.tRP;
+  const u64 first = h.submit(0, 5, 0, AccessType::kRead, act * kDram);
+  const u64 late = h.submit(1, 7, 0, AccessType::kRead, arrive * kDram);
+  ASSERT_GT(pre, arrive) << "the read must arrive while the drain waits";
+  auto count = [&](energy::EnergyEvent e) { return h.energy.count(e); };
+  auto vault_events = [&] {
+    return h.sim.events_by_source()[static_cast<size_t>(
+        sim::EventSource::kVault)];
+  };
+
+  h.sim.run_until((t.tREFI - 1) * kDram);
+  EXPECT_EQ(count(energy::EnergyEvent::kActivate), 1u);
+  EXPECT_EQ(count(energy::EnergyEvent::kReadLine), 1u)
+      << "the first read issues before the drain";
+  const u64 before_drain = vault_events();
+  h.sim.run_until((pre - 1) * kDram);
+  EXPECT_EQ(count(energy::EnergyEvent::kPrecharge), 0u);
+  h.sim.run_until(pre * kDram);
+  EXPECT_EQ(count(energy::EnergyEvent::kPrecharge), 1u) << "PRE at ACT + tRAS";
+  h.sim.run_until((ref - 1) * kDram);
+  EXPECT_EQ(count(energy::EnergyEvent::kRefresh), 0u);
+  h.sim.run_until(ref * kDram);
+  EXPECT_EQ(count(energy::EnergyEvent::kRefresh), 1u) << "REF at PRE + tRP";
+  EXPECT_EQ(vault_events() - before_drain, 5u)
+      << "a draining vault must sleep until its blocking bank can step";
+
+  h.run(ref * kDram + 2 * t.tRFC * kDram);
+  ASSERT_TRUE(h.response_time(first).has_value());
+  EXPECT_EQ(*h.response_time(first),
+            (act + t.tRCD + t.tCL + t.tBURST) * kDram);
+  ASSERT_TRUE(h.response_time(late).has_value());
+  EXPECT_EQ(*h.response_time(late),
+            (ref + t.tRFC + t.tRCD + t.tCL + t.tBURST) * kDram);
 }
 
 TEST(VaultController, LoneWriteIssuesTrcdAfterItsActivate) {
