@@ -68,11 +68,12 @@ int main(int argc, char** argv) {
   // custom schemes today is to register them in prefetch::make_scheme;
   // here we demonstrate the interface contract itself on a vault harness.
   sim::Simulator sim;
-  hmc::VaultConfig vcfg;
+  const hmc::HmcGeometry geometry;
   StatRegistry stats;
   u64 responses = 0;
   hmc::VaultController vault(
-      sim, 0, vcfg, std::make_unique<EagerCopyScheme>(vcfg.banks), nullptr,
+      sim, 0, geometry, hmc::VaultConfig{},
+      std::make_unique<EagerCopyScheme>(geometry.banks_per_vault), nullptr,
       stats, [&](const hmc::MemRequest&, Tick) { ++responses; });
 
   // Drive the vault with a synthetic stream: 8 sequential lines per row.

@@ -13,12 +13,6 @@ namespace camps {
 
 void cache::MshrFile::audit(check::AuditReporter& rep) const {
   const check::AuditScope scope(rep, "mshr");
-  if (max_entries_ != 0) {
-    rep.expect(pending_.size() <= max_entries_, "mshr-capacity",
-               std::to_string(pending_.size()) +
-                   " outstanding entries exceed the file's " +
-                   std::to_string(max_entries_) + "-entry capacity");
-  }
   for (const auto& [line, waiters] : pending_) {
     rep.expect(!waiters.empty(), "mshr-orphan",
                "line " + std::to_string(line) +
@@ -36,16 +30,6 @@ void cache::MshrFile::audit(check::AuditReporter& rep) const {
 void cache::CacheHierarchy::audit(check::AuditReporter& rep) const {
   const check::AuditScope scope(rep, "cache");
   mshrs_.audit(rep);
-  // Deferred retries only exist while the MSHR file is bounded and full
-  // misses were turned away; each must be a live callable.
-  for (const auto& retry : mshr_retry_) {
-    rep.expect(static_cast<bool>(retry), "cache-dead-retry",
-               "deferred MSHR retry holds an empty callback");
-  }
-  if (cfg_.mshr_entries == 0) {
-    rep.expect(mshr_retry_.empty(), "cache-retry-unbounded",
-               "retries deferred although the MSHR file is unlimited");
-  }
 }
 
 }  // namespace camps

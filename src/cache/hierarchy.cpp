@@ -16,7 +16,6 @@ CacheHierarchy::CacheHierarchy(sim::Simulator& sim,
     : sim_(sim),
       cfg_(config),
       l3_(config.l3),
-      mshrs_(config.mshr_entries),
       memory_(memory),
       pending_fills_(cores * config.l1.sets(), 0),
       l1_sets_(config.l1.sets()) {
@@ -153,7 +152,7 @@ std::optional<Tick> CacheHierarchy::read(CoreId core, Addr addr,
     fill_level(*l1_[core], line, false, core, false);
     complete_load(issued, std::move(done));
   };
-  allocate_or_defer(line, core, cycles, std::move(waiter));
+  allocate_miss(line, core, cycles, std::move(waiter));
   return std::nullopt;
 }
 
@@ -183,19 +182,10 @@ std::optional<Tick> CacheHierarchy::access_ahead(CoreId core, Addr addr,
   return done_at;
 }
 
-void CacheHierarchy::allocate_or_defer(Addr line, CoreId core,
-                                       u32 lookup_cycles,
-                                       MshrFile::WakeFn waiter) {
-  const auto result = mshrs_.allocate(line, waiter);
-  if (result == MshrFile::Allocate::kFull) {
-    // Structural stall: re-attempt when an outstanding fetch completes.
-    mshr_retry_.push_back([this, line, core, lookup_cycles,
-                           waiter = std::move(waiter)]() mutable {
-      allocate_or_defer(line, core, lookup_cycles, std::move(waiter));
-    });
-    return;
-  }
-  if (result == MshrFile::Allocate::kMustFetch) {
+void CacheHierarchy::allocate_miss(Addr line, CoreId core, u32 lookup_cycles,
+                                   MshrFile::WakeFn waiter) {
+  if (mshrs_.allocate(line, std::move(waiter)) ==
+      MshrFile::Allocate::kMustFetch) {
     sim_.schedule(Tick{lookup_cycles} * sim::kCpuTicksPerCycle,
                   [this, core, line] {
                     ++memory_reads_;
@@ -211,13 +201,6 @@ void CacheHierarchy::fill_from_memory(CoreId requesting, Addr line) {
   // and any dirty L3 victim its fill evicts is written back on its behalf.
   fill_level(l3_, line, false, requesting, /*is_l3=*/true);
   for (auto& wake : mshrs_.complete(line)) wake();
-  // A slot just freed: give deferred miss attempts another chance (they
-  // re-defer themselves if the file fills up again).
-  if (!mshr_retry_.empty()) {
-    std::vector<std::function<void()>> retries;
-    retries.swap(mshr_retry_);
-    for (auto& retry : retries) retry();
-  }
 }
 
 void CacheHierarchy::write(CoreId core, Addr addr) {
@@ -238,7 +221,7 @@ void CacheHierarchy::write(CoreId core, Addr addr) {
     fill_level(*l2_[core], line, false, core, false);
     fill_level(*l1_[core], line, /*dirty=*/true, core, false);
   };
-  allocate_or_defer(line, core, cycles, std::move(waiter));
+  allocate_miss(line, core, cycles, std::move(waiter));
 }
 
 }  // namespace camps::cache

@@ -54,11 +54,6 @@ struct HierarchyConfig {
                  .hit_latency = 6};
   CacheConfig l3{.size_bytes = 16 * 1024 * 1024, .ways = 16, .line_bytes = 64,
                  .hit_latency = 20};
-  /// Maximum outstanding L3 misses (distinct lines). 0 = unlimited (the
-  /// cores' own outstanding-load windows bound demand); a finite value
-  /// defers excess misses until an outstanding fetch completes.
-  u32 mshr_entries = 0;
-
   bool operator==(const HierarchyConfig&) const = default;
 };
 
@@ -114,7 +109,7 @@ class CacheHierarchy final {
   /// still in flight count after the reset.
   void reset_stats();
 
-  /// Audits the MSHR file and the deferred-retry list.
+  /// Audits the MSHR file.
   void audit(check::AuditReporter& reporter) const;
 
  private:
@@ -132,9 +127,9 @@ class CacheHierarchy final {
   /// the core whose miss launched the fetch.
   void fill_from_memory(CoreId requesting, Addr addr);
   /// Registers `waiter` for `line`; launches the memory fetch if this is
-  /// the first miss, or defers the whole attempt if the MSHR file is full.
-  void allocate_or_defer(Addr line, CoreId core, u32 lookup_cycles,
-                         MshrFile::WakeFn waiter);
+  /// the first miss.
+  void allocate_miss(Addr line, CoreId core, u32 lookup_cycles,
+                     MshrFile::WakeFn waiter);
   void fill_level(Cache& cache, Addr addr, bool dirty, CoreId core,
                   bool is_l3);
   void complete_load(Tick issued, DoneFn done);
@@ -152,8 +147,6 @@ class CacheHierarchy final {
   Cache l3_;
   MshrFile mshrs_;
   MemoryPort* memory_;
-  /// Miss attempts rejected by a full MSHR file, retried on completions.
-  std::vector<std::function<void()>> mshr_retry_;
   /// Fills in flight per (core, L1 set): counted up where a miss registers
   /// its waiter, down in the waiter.
   std::vector<u32> pending_fills_;

@@ -18,10 +18,6 @@ MshrFile::Allocate MshrFile::allocate(Addr line_addr, WakeFn waiter) {
     ++merges_;
     return Allocate::kMerged;
   }
-  if (max_entries_ != 0 && pending_.size() >= max_entries_) {
-    ++full_rejections_;
-    return Allocate::kFull;
-  }
   pending_[line_addr].push_back(std::move(waiter));
   ++allocations_;
   return Allocate::kMustFetch;

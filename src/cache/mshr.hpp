@@ -19,15 +19,11 @@ class MshrFile final {
  public:
   using WakeFn = std::function<void()>;
 
-  /// Unlimited entries by default (the cores' outstanding-miss windows
-  /// bound demand in practice); pass a cap to model a finite file.
-  explicit MshrFile(u32 max_entries = 0) : max_entries_(max_entries) {}
-
   /// True when a fetch for `line_addr` is already outstanding.
   bool pending(Addr line_addr) const;
 
   /// Result of allocate(): whether this call must launch the memory fetch.
-  enum class Allocate : u8 { kMustFetch, kMerged, kFull };
+  enum class Allocate : u8 { kMustFetch, kMerged };
 
   /// Registers a waiter for `line_addr`.
   Allocate allocate(Addr line_addr, WakeFn waiter);
@@ -38,19 +34,17 @@ class MshrFile final {
   u32 entries_in_use() const { return static_cast<u32>(pending_.size()); }
   u64 merges() const { return merges_; }
   u64 allocations() const { return allocations_; }
-  u64 full_rejections() const { return full_rejections_; }
 
-  /// Invariants: the file respects its capacity, every outstanding entry
-  /// has at least one live waiter (the allocating miss registers one), and
-  /// merges never outnumber the accesses that could have merged.
+  /// Invariants: every outstanding entry has at least one live waiter (the
+  /// allocating miss registers one), and merges never outnumber the
+  /// accesses that could have merged.
   void audit(check::AuditReporter& reporter) const;
 
  private:
   friend struct check::TestCorruptor;
 
-  u32 max_entries_;
   std::unordered_map<Addr, std::vector<WakeFn>> pending_;
-  u64 merges_ = 0, allocations_ = 0, full_rejections_ = 0;
+  u64 merges_ = 0, allocations_ = 0;
 };
 
 static_assert(check::Auditable<MshrFile>);

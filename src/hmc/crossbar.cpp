@@ -12,7 +12,7 @@ Crossbar::Crossbar(u32 output_ports, const CrossbarParams& params)
   CAMPS_ASSERT(output_ports > 0);
 }
 
-Crossbar::Routed Crossbar::route_ex(Tick now, u32 port, u64 trace_id) {
+Crossbar::Routed Crossbar::route(Tick now, u32 port, u64 trace_id) {
   CAMPS_ASSERT(port < port_free_.size());
   if (plan_ != nullptr &&
       plan_->roll(fault::Site::kXbarDrop, fault_unit_base_ + port)) {

@@ -40,17 +40,12 @@ class Crossbar {
     bool dropped = false; ///< Grant lost (injected fault); never forwarded.
   };
 
-  /// Routes a packet submitted at `now` toward `port`; returns delivery
+  /// Routes a packet submitted at `now` toward `port`; returns its delivery
   /// tick at that port. Per-port FIFO order is preserved. `trace_id` tags
-  /// the traversal span when tracing is armed.
-  Tick route(Tick now, u32 port, u64 trace_id = 0) {
-    return route_ex(now, port, trace_id).deliver;
-  }
-
-  /// route() variant exposing grant drops under fault injection. A dropped
-  /// grant does not advance the port's schedule — the packet simply never
-  /// traversed.
-  Routed route_ex(Tick now, u32 port, u64 trace_id = 0);
+  /// the traversal span when tracing is armed. A grant dropped under fault
+  /// injection does not advance the port's schedule — the packet simply
+  /// never traversed.
+  Routed route(Tick now, u32 port, u64 trace_id = 0);
 
   /// Arms span recording (stage kXbarDown or kXbarUp, lane = output port).
   void attach_trace(obs::TraceRecorder* trace, obs::Stage stage) {

@@ -56,10 +56,11 @@ void hmc::VaultController::audit(check::AuditReporter& rep) const {
   const check::AuditScope scope(rep, "vault" + std::to_string(id_));
   const u64 cycle = cycle_of(sim_.now());
 
-  // Owned-structure shapes.
-  rep.expect(banks_.size() == cfg_.banks, "vault-bank-shape",
+  // Owned-structure shapes follow the device geometry.
+  const u32 banks = geom_.banks_per_vault;
+  rep.expect(banks_.size() == banks, "vault-bank-shape",
              std::to_string(banks_.size()) + " banks constructed, " +
-                 std::to_string(cfg_.banks) + " configured");
+                 std::to_string(banks) + " in the geometry");
   rep.expect(open_row_refs_.size() == banks_.size(), "vault-refs-shape",
              "open-row reference tracking covers " +
                  std::to_string(open_row_refs_.size()) + " of " +
@@ -79,14 +80,14 @@ void hmc::VaultController::audit(check::AuditReporter& rep) const {
                  std::to_string(cfg_.write_queue));
 
   // Every queued coordinate must decode inside this vault's geometry.
-  const u64 line_limit = buffer_.config().lines_per_row;
+  const u64 line_limit = geom_.lines_per_row();
   auto check_entries = [&](const std::deque<QueueEntry>& q, const char* which) {
     for (const QueueEntry& e : q) {
-      rep.expect(e.bank < cfg_.banks, "vault-entry-bank",
+      rep.expect(e.bank < banks, "vault-entry-bank",
                  std::string(which) + " entry for request " +
                      std::to_string(e.req.id) + " targets bank " +
                      std::to_string(e.bank) + " of " +
-                     std::to_string(cfg_.banks));
+                     std::to_string(banks));
       rep.expect(e.column < line_limit, "vault-entry-column",
                  std::string(which) + " entry for request " +
                      std::to_string(e.req.id) + " targets column " +
@@ -98,9 +99,9 @@ void hmc::VaultController::audit(check::AuditReporter& rep) const {
   check_entries(rdq_, "read-queue");
   check_entries(wrq_, "write-queue");
   for (const PfAction& a : actions_) {
-    rep.expect(a.bank < cfg_.banks, "vault-action-bank",
+    rep.expect(a.bank < banks, "vault-action-bank",
                "prefetch action targets bank " + std::to_string(a.bank) +
-                   " of " + std::to_string(cfg_.banks));
+                   " of " + std::to_string(banks));
   }
 
   // A vault with work must have its wake queued, or the work would sit
@@ -177,6 +178,10 @@ void hmc::VaultController::audit(check::AuditReporter& rep) const {
   const auto* camps =
       dynamic_cast<const prefetch::CampsScheme*>(scheme_.get());
   if (camps != nullptr) {
+    // One RUT entry per bank of this vault (Table I: 16).
+    rep.expect(camps->rut().banks() == banks, "rut-shape",
+               "RUT tracks " + std::to_string(camps->rut().banks()) +
+                   " banks, the geometry has " + std::to_string(banks));
     auto pending_for = [&](BankId bank, RowId row) {
       auto targets = [&](const QueueEntry& e) {
         return e.bank == bank && e.row == row;

@@ -28,15 +28,10 @@ HmcDevice::HmcDevice(sim::Simulator& sim, const HmcConfig& config,
     fault_plan_ = std::make_unique<fault::FaultPlan>(cfg_.fault, stats);
     vault_fault_counts_.assign(cfg_.geometry.vaults, 0);
   }
-  // The flow-control pool rides on LinkParams so the link model owns the
-  // whole credit loop; the fault config is just where users set it.
-  LinkParams link_params = cfg_.link;
-  if (fault_plan_ != nullptr && cfg_.fault.link_tokens > 0) {
-    link_params.tokens = cfg_.fault.link_tokens;
-  }
   links_.reserve(cfg_.num_links);
   for (u32 l = 0; l < cfg_.num_links; ++l) {
-    links_.push_back(std::make_unique<SerialLink>(link_params));
+    links_.push_back(
+        std::make_unique<SerialLink>(cfg_.link, cfg_.fault.link_tokens));
     links_[l]->downstream().attach_trace(trace_, obs::Stage::kLinkDown, l);
     links_[l]->upstream().attach_trace(trace_, obs::Stage::kLinkUp, l);
     if (fault_plan_ != nullptr) {
@@ -52,13 +47,11 @@ HmcDevice::HmcDevice(sim::Simulator& sim, const HmcConfig& config,
     down_xbar_.attach_faults(fault_plan_.get(), 0);
     up_xbar_.attach_faults(fault_plan_.get(), cfg_.geometry.vaults);
   }
-  // Keep each vault's prefetch table geometry in sync with the banks.
-  prefetch::SchemeParams per_vault = params;
-  per_vault.camps.banks = cfg_.vault.banks;
   vaults_.reserve(cfg_.geometry.vaults);
   for (VaultId v = 0; v < cfg_.geometry.vaults; ++v) {
     vaults_.push_back(std::make_unique<VaultController>(
-        sim_, v, cfg_.vault, prefetch::make_scheme(scheme, per_vault),
+        sim_, v, cfg_.geometry, cfg_.vault,
+        prefetch::make_scheme(scheme, cfg_.geometry.banks_per_vault, params),
         &energy_, stats,
         [this, v](const MemRequest& req, Tick ready) {
           on_vault_response(req, v, ready);
@@ -76,7 +69,7 @@ void HmcDevice::submit(const MemRequest& request, Tick now) {
   const u32 flits = flits_for(kind);
   energy_.add(EnergyEvent::kLinkFlit, flits);
   const auto xfer =
-      links_[link_idx]->downstream().submit_ex(now, flits, request.id);
+      links_[link_idx]->downstream().submit(now, flits, request.id);
   if (xfer.dropped) return;  // lost on the link; host timeout recovers
   h_lat_host_queue_.sample((xfer.start - now) / sim::kCpuTicksPerCycle);
   h_lat_link_down_.sample((xfer.deliver - xfer.start) /
@@ -86,7 +79,7 @@ void HmcDevice::submit(const MemRequest& request, Tick now) {
                    xfer.start);
   }
   const Tick at_xbar = xfer.deliver;
-  const auto routed = down_xbar_.route_ex(at_xbar, decoded.vault, request.id);
+  const auto routed = down_xbar_.route(at_xbar, decoded.vault, request.id);
   if (routed.dropped) return;  // grant lost; host timeout recovers
   // The vault takes the request now and sees it from routed.deliver on
   // (VaultController::receive), so the arrival costs no event.
@@ -107,11 +100,10 @@ void HmcDevice::on_vault_response(const MemRequest& request, VaultId vault,
   const u32 link_idx = vault % cfg_.num_links;
   const u32 flits = flits_for(PacketKind::kReadResp);
   energy_.add(EnergyEvent::kLinkFlit, flits);
-  const auto routed = up_xbar_.route_ex(ready, link_idx, request.id);
+  const auto routed = up_xbar_.route(ready, link_idx, request.id);
   if (routed.dropped) return;  // response lost; host timeout recovers
   const auto xfer =
-      links_[link_idx]->upstream().submit_ex(routed.deliver, flits,
-                                             request.id);
+      links_[link_idx]->upstream().submit(routed.deliver, flits, request.id);
   if (xfer.dropped) return;  // response lost; host timeout recovers
   h_lat_link_up_.sample((xfer.deliver - xfer.start) / sim::kCpuTicksPerCycle);
   const Tick at_host = xfer.deliver;

@@ -9,8 +9,8 @@
 
 namespace camps::hmc {
 
-LinkDirection::LinkDirection(const LinkParams& params)
-    : p_(params), tokens_available_(params.tokens) {
+LinkDirection::LinkDirection(const LinkParams& params, u32 tokens)
+    : p_(params), tokens_(tokens), tokens_available_(tokens) {
   CAMPS_ASSERT(p_.lanes > 0);
   CAMPS_ASSERT(p_.gbps_per_lane > 0.0);
 }
@@ -39,8 +39,8 @@ void LinkDirection::reap(Tick now) {
   }
 }
 
-LinkDirection::Transfer LinkDirection::submit_ex(Tick now, u32 flits,
-                                                 u64 trace_id) {
+LinkDirection::Transfer LinkDirection::submit(Tick now, u32 flits,
+                                              u64 trace_id) {
   CAMPS_ASSERT(flits > 0);
   reap(now);
   Tick start = std::max(now, busy_until_);
@@ -48,8 +48,8 @@ LinkDirection::Transfer LinkDirection::submit_ex(Tick now, u32 flits,
   // Flow control: serialization may not begin until enough credits are on
   // hand. Credits return in FIFO order, so draining the pending queue from
   // the front finds the earliest tick with a sufficient balance.
-  if (p_.tokens > 0) {
-    CAMPS_ASSERT_MSG(flits <= p_.tokens,
+  if (tokens_ > 0) {
+    CAMPS_ASSERT_MSG(flits <= tokens_,
                      "packet larger than the whole token pool");
     Tick credit_ready = start;
     while (tokens_available_ < flits) {
@@ -105,7 +105,7 @@ LinkDirection::Transfer LinkDirection::submit_ex(Tick now, u32 flits,
         trace_->record(trace_stage_, trace_track_, trace_id, start,
                        busy_until_);
       }
-      if (p_.tokens > 0) {
+      if (tokens_ > 0) {
         // The credits come back regardless (the link-level timeout frees
         // the far-end buffer slot) — otherwise every drop would shrink the
         // pool until the link deadlocks.
@@ -146,7 +146,7 @@ LinkDirection::Transfer LinkDirection::submit_ex(Tick now, u32 flits,
   if (trace_ != nullptr) {
     trace_->record(trace_stage_, trace_track_, trace_id, start, deliver);
   }
-  if (p_.tokens > 0) {
+  if (tokens_ > 0) {
     token_returns_.push_back({deliver + p_.token_return_ticks, flits});
   }
   xfer.deliver = deliver;

@@ -38,11 +38,6 @@ struct LinkParams {
   /// One-way SerDes + propagation latency, in ticks (default 4 ns).
   Tick flight_ticks = 96;
 
-  /// Flow-control credits per direction, in flits. 0 disables the token
-  /// loop entirely (the paper's configuration: links are never the
-  /// credit-limited resource). When enabled, a packet's serialization
-  /// stalls until enough credits have returned.
-  u32 tokens = 0;
   /// Credit-loop latency: a delivered packet's tokens return this long
   /// after delivery (default: one flight time back).
   Tick token_return_ticks = 96;
@@ -62,7 +57,12 @@ struct LinkParams {
 /// One direction of one link: a bandwidth-limited FIFO pipe.
 class LinkDirection {
  public:
-  explicit LinkDirection(const LinkParams& params = {});
+  /// `tokens` is the flow-control credit pool in flits
+  /// (FaultConfig::link_tokens). 0 disables the token loop entirely (the
+  /// paper's configuration: links are never the credit-limited resource);
+  /// otherwise a packet's serialization stalls until enough credits have
+  /// returned.
+  explicit LinkDirection(const LinkParams& params = {}, u32 tokens = 0);
 
   /// A packet's passage through this direction: serialization begins at
   /// `start` (>= submission time when the pipe is backed up, waking, or
@@ -82,16 +82,11 @@ class LinkDirection {
     bool dropped = false;
   };
 
-  /// Accepts a packet at `now`; returns its delivery tick at the far end.
+  /// Accepts a packet at `now`; returns when its serialization started
+  /// (for host-queue-wait accounting) and its delivery tick at the far end.
   /// Packets serialize in submission order (FIFO). `trace_id` tags the
   /// serialization span when tracing is armed.
-  Tick submit(Tick now, u32 flits, u64 trace_id = 0) {
-    return submit_ex(now, flits, trace_id).deliver;
-  }
-
-  /// submit() variant exposing when serialization actually started, for
-  /// host-queue-wait accounting.
-  Transfer submit_ex(Tick now, u32 flits, u64 trace_id = 0);
+  Transfer submit(Tick now, u32 flits, u64 trace_id = 0);
 
   /// Arms span recording for this direction (stage kLinkDown or kLinkUp,
   /// lane = link index).
@@ -130,8 +125,8 @@ class LinkDirection {
   /// Packets held in the retry buffer awaiting acknowledgement, as of the
   /// last submit (acks are reaped lazily).
   size_t retry_buffer_depth() const { return retry_buffer_.size(); }
-  /// Flow-control credits currently available (== params.tokens when the
-  /// loop is disabled or idle).
+  /// Flow-control credits currently available (the whole pool when the
+  /// loop is idle).
   u32 tokens_available() const { return tokens_available_; }
   /// Credits still travelling back from delivered packets.
   u32 tokens_pending() const;
@@ -166,6 +161,7 @@ class LinkDirection {
   void reap(Tick now);
 
   LinkParams p_;
+  u32 tokens_;  ///< Credit pool; 0 = no token loop.
   obs::TraceRecorder* trace_ = nullptr;
   obs::Stage trace_stage_ = obs::Stage::kLinkDown;
   u32 trace_track_ = 0;
@@ -183,7 +179,7 @@ class LinkDirection {
   u64 seq_next_ = 0;
   std::deque<RetryEntry> retry_buffer_;   ///< FIFO by ack_tick.
   std::deque<TokenReturn> token_returns_; ///< FIFO by return tick.
-  u32 tokens_available_ = 0;  ///< Initialized from p_.tokens.
+  u32 tokens_available_ = 0;  ///< Initialized from tokens_.
   u64 crc_errors_ = 0;
   u64 replays_ = 0;
   u64 drops_ = 0;
@@ -192,8 +188,8 @@ class LinkDirection {
 /// A full-duplex link: requests flow downstream, responses upstream.
 class SerialLink {
  public:
-  explicit SerialLink(const LinkParams& params = {})
-      : down_(params), up_(params) {}
+  explicit SerialLink(const LinkParams& params = {}, u32 tokens = 0)
+      : down_(params, tokens), up_(params, tokens) {}
 
   LinkDirection& downstream() { return down_; }
   LinkDirection& upstream() { return up_; }

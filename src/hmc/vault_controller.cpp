@@ -23,15 +23,17 @@ std::string stat_name(VaultId id, const char* stat) {
 }  // namespace
 
 VaultController::VaultController(
-    sim::Simulator& sim, VaultId id, const VaultConfig& config,
-    std::unique_ptr<prefetch::PrefetchScheme> scheme,
+    sim::Simulator& sim, VaultId id, const HmcGeometry& geometry,
+    const VaultConfig& config, std::unique_ptr<prefetch::PrefetchScheme> scheme,
     energy::EnergyModel* energy, StatRegistry& stats, RespondFn respond,
     obs::TraceRecorder* trace)
     : sim_(sim),
       id_(id),
+      geom_(geometry),
       cfg_(config),
       banks_(),
-      buffer_(config.buffer, scheme->make_replacement()),
+      buffer_(config.buffer, static_cast<u32>(geometry.lines_per_row()),
+              scheme->make_replacement()),
       scheme_(std::move(scheme)),
       refresh_(cfg_.timing, cfg_.refresh_enabled),
       energy_(energy),
@@ -48,16 +50,17 @@ VaultController::VaultController(
       h_lat_bank_service_(stats.histogram("latency.bank_service_cycles")),
       h_lat_buffer_hit_(stats.histogram("latency.buffer_hit_cycles")),
       trace_(trace) {
-  CAMPS_ASSERT(cfg_.banks > 0 && cfg_.banks <= 32);  // scheduler bank bitmask
+  const u32 banks = geom_.banks_per_vault;
+  CAMPS_ASSERT(banks > 0 && banks <= 32);  // scheduler bank bitmask
   CAMPS_ASSERT(cfg_.read_queue > 0 && cfg_.write_queue > 0);
   CAMPS_ASSERT(cfg_.write_drain_low < cfg_.write_drain_high);
   CAMPS_ASSERT(cfg_.write_drain_high <= cfg_.write_queue);
-  banks_.reserve(cfg_.banks);
-  for (u32 b = 0; b < cfg_.banks; ++b) banks_.emplace_back(cfg_.timing);
-  open_row_refs_.resize(cfg_.banks);
+  banks_.reserve(banks);
+  for (u32 b = 0; b < banks; ++b) banks_.emplace_back(cfg_.timing);
+  open_row_refs_.resize(banks);
   buffer_hit_ticks_ = cfg_.buffer.hit_latency * sim::kCpuTicksPerCycle;
-  for (u32 b = 0; b < cfg_.banks; ++b) {
-    banks_[b].attach_trace(trace_, id_ * cfg_.banks + b);
+  for (u32 b = 0; b < banks; ++b) {
+    banks_[b].attach_trace(trace_, id_ * banks + b);
   }
   buffer_.attach_trace(trace_, id_, sim::kDramTicksPerCycle);
 }
@@ -219,8 +222,7 @@ u64 VaultController::next_action_cycle(u64 cycle) const {
     } else if (buffer_.contains(BankRow{action.bank, action.row})) {
       return from;  // dropped at the next wake
     } else if (row_open) {
-      consider(std::max(bank.earliest_column(from),
-                        cfg_.row_fetch_uses_bus ? bus_free_cycle_ : 0));
+      consider(bank.earliest_column(from));
     } else {
       consider(open_gate(bank));
     }
@@ -324,8 +326,7 @@ bool VaultController::refresh_step(u64 cycle) {
     const dram::BankState s = bank.state(cycle);
     if (s == dram::BankState::kActive || s == dram::BankState::kActivating) {
       if (bank.earliest_precharge(cycle) == cycle) {
-        bank.precharge(cycle);
-        if (energy_ != nullptr) energy_->add(EnergyEvent::kPrecharge);
+        precharge(bank, cycle);
         return true;
       }
       return false;  // must wait for this bank's timing
@@ -410,35 +411,64 @@ u64 VaultController::row_reference_bitmap(BankId bank, RowId row) const {
   return refs.row == row ? refs.bitmap : 0;
 }
 
-void VaultController::serve_via_fetch(const QueueEntry& entry, u64 cycle,
-                                      bool precharge_after) {
-  dram::Bank& bank = banks_[entry.bank];
-  const u64 done = bank.fetch_row(cycle, entry.req.id);
-  if (cfg_.row_fetch_uses_bus) bus_free_cycle_ = done;
-  if (energy_ != nullptr) energy_->add(EnergyEvent::kRowFetch);
+void VaultController::precharge(dram::Bank& bank, u64 cycle) {
+  bank.precharge(cycle);
+  if (energy_ != nullptr) energy_->add(EnergyEvent::kPrecharge);
+}
 
-  const BankId b = entry.bank;
-  const RowId row = entry.row;
-  const LineId line = entry.column;
-  const AccessType type = entry.req.type;
-  note_row_reference(b, row, line);
-  const u64 seed =
-      cfg_.seed_buffer_utilization ? row_reference_bitmap(b, row) : 0;
-  sim_.schedule_at(tick_of(done), [this, b, row, line, type, seed, cycle] {
-    complete_fetch(b, row, seed, cycle);
+void VaultController::activate(dram::Bank& bank, u64 cycle, RowId row,
+                               u64 trace_id) {
+  bank.activate(cycle, row, trace_id);
+  record_act(cycle);
+  if (energy_ != nullptr) energy_->add(EnergyEvent::kActivate);
+}
+
+u64 VaultController::fetch_row(BankId bank, RowId row, u64 cycle,
+                               const QueueEntry* demand) {
+  // A copy rides the wide internal TSVs (the paper's premise, Section 2.4):
+  // it occupies the bank, not the vault's demand data bus.
+  const u64 done =
+      banks_[bank].fetch_row(cycle, demand != nullptr ? demand->req.id : 0);
+  if (energy_ != nullptr) energy_->add(EnergyEvent::kRowFetch);
+  // The lines already served while the row sat in the row buffer seed its
+  // utilization, so Section 3.2's full-utilization test sees its whole life.
+  const u64 seed = row_reference_bitmap(bank, row);
+  const bool serves = demand != nullptr;
+  const LineId line = serves ? demand->column : 0;
+  const AccessType type = serves ? demand->req.type : AccessType::kRead;
+  sim_.schedule_at(tick_of(done),
+                   [this, bank, row, seed, cycle, serves, line, type] {
+    complete_fetch(bank, row, seed, cycle);
     // The demanded line is consumed out of the freshly landed row; it was
     // demanded, not prefetched, so it does not count toward usefulness.
-    buffer_.access(BankRow{b, row}, line, type, /*fill_touch=*/true);
+    if (serves) {
+      buffer_.access(BankRow{bank, row}, line, type, /*fill_touch=*/true);
+    }
   }, sim::EventSource::kVault);
+  return done;
+}
+
+void VaultController::respond_at(const MemRequest& req, Tick ready) {
+  ++n_reads_;
+  ++inflight_;
+  sim_.schedule_at(ready, [this, req, ready] {
+    --inflight_;
+    respond_(req, ready);
+  }, sim::EventSource::kVault);
+}
+
+bool VaultController::row_demanded(BankId bank, RowId row) const {
+  return std::any_of(rdq_.begin(), rdq_.end(), [&](const QueueEntry& e) {
+    return e.bank == bank && e.row == row;
+  });
+}
+
+void VaultController::serve_via_fetch(const QueueEntry& entry, u64 cycle,
+                                      bool precharge_after) {
+  note_row_reference(entry.bank, entry.row, entry.column);
+  const u64 done = fetch_row(entry.bank, entry.row, cycle, &entry);
   if (entry.req.type == AccessType::kRead) {
-    ++n_reads_;
-    ++inflight_;
-    const MemRequest req = entry.req;
-    const Tick ready = tick_of(done) + buffer_hit_ticks_;
-    sim_.schedule_at(ready, [this, req, ready] {
-      --inflight_;
-      respond_(req, ready);
-    }, sim::EventSource::kVault);
+    respond_at(entry.req, tick_of(done) + buffer_hit_ticks_);
   } else {
     ++n_writes_;
   }
@@ -517,15 +547,8 @@ bool VaultController::issue_demand_column(u64 cycle) {
     u64 done;
     if (it->req.type == AccessType::kRead) {
       done = bank.read(cycle, it->req.id);
-      ++n_reads_;
-      ++inflight_;
       if (energy_ != nullptr) energy_->add(EnergyEvent::kReadLine);
-      const MemRequest req = it->req;
-      const Tick ready = tick_of(done);
-      sim_.schedule_at(ready, [this, req, ready] {
-        --inflight_;
-        respond_(req, ready);
-      }, sim::EventSource::kVault);
+      respond_at(it->req, tick_of(done));
     } else {
       done = bank.write(cycle, it->req.id);
       ++n_writes_;
@@ -565,7 +588,7 @@ bool VaultController::advance_demand_bank(u64 cycle) {
   if (queue.empty()) return false;
   // Advance the oldest request of each bank (younger requests to the same
   // bank must not interleave PRE/ACT with it); issue at most one command.
-  u32 banks_seen = 0;  // bitmask; cfg_.banks <= 32 in any sane config
+  u32 banks_seen = 0;  // bitmask; at most 32 banks (constructor assert)
   for (auto& entry : queue) {
     const u32 bank_bit = 1u << entry.bank;
     if (banks_seen & bank_bit) continue;
@@ -579,17 +602,14 @@ bool VaultController::advance_demand_bank(u64 cycle) {
         if (bank.open_row(cycle) != std::make_optional(entry.row) &&
             bank.earliest_precharge(cycle) == cycle) {
           classify_if_new(entry, cycle);
-          bank.precharge(cycle);
-          if (energy_ != nullptr) energy_->add(EnergyEvent::kPrecharge);
+          precharge(bank, cycle);
           return true;
         }
         break;
       case dram::BankState::kPrecharged:
         if (bank.earliest_activate(cycle) == cycle && act_allowed(cycle)) {
           classify_if_new(entry, cycle);
-          bank.activate(cycle, entry.row, entry.req.id);
-          record_act(cycle);
-          if (energy_ != nullptr) energy_->add(EnergyEvent::kActivate);
+          activate(bank, cycle, entry.row, entry.req.id);
           return true;
         }
         break;
@@ -640,16 +660,9 @@ bool VaultController::issue_prefetch(u64 cycle) {
       if (cycle >= action.fetch_done_cycle &&
           bank.state(cycle) == dram::BankState::kActive &&
           bank.open_row(cycle) == std::make_optional(action.row)) {
-        bool demanded = false;
-        for (const auto& e : rdq_) {
-          if (e.bank == action.bank && e.row == action.row) {
-            demanded = true;
-            break;
-          }
-        }
-        if (!demanded && bank.earliest_precharge(cycle) == cycle) {
-          bank.precharge(cycle);
-          if (energy_ != nullptr) energy_->add(EnergyEvent::kPrecharge);
+        if (!row_demanded(action.bank, action.row) &&
+            bank.earliest_precharge(cycle) == cycle) {
+          precharge(bank, cycle);
           actions_.erase(it);
           return true;
         }
@@ -672,19 +685,8 @@ bool VaultController::issue_prefetch(u64 cycle) {
     switch (bank.state(cycle)) {
       case dram::BankState::kActive: {
         if (bank.open_row(cycle) == std::make_optional(action.row)) {
-          const u64 start = bank.earliest_column(cycle);
-          if (start == cycle &&
-              (!cfg_.row_fetch_uses_bus || bus_free_cycle_ <= cycle)) {
-            const u64 done = bank.fetch_row(cycle);
-            if (cfg_.row_fetch_uses_bus) bus_free_cycle_ = done;
-            if (energy_ != nullptr) energy_->add(EnergyEvent::kRowFetch);
-            const BankId b = action.bank;
-            const RowId r = action.row;
-            const u64 seed =
-                cfg_.seed_buffer_utilization ? row_reference_bitmap(b, r) : 0;
-            sim_.schedule_at(tick_of(done), [this, b, r, seed, cycle] {
-              complete_fetch(b, r, seed, cycle);
-            }, sim::EventSource::kVault);
+          if (bank.earliest_column(cycle) == cycle) {
+            const u64 done = fetch_row(action.bank, action.row, cycle);
             if (action.precharge_after) {
               action.fetch_issued = true;
               action.fetch_done_cycle = done;
@@ -697,17 +699,9 @@ bool VaultController::issue_prefetch(u64 cycle) {
           // Another row occupies the bank (MMD extra rows). Close it only
           // if no queued demand still wants it — a prefetch must never
           // turn a pending row hit into a conflict.
-          const auto open = bank.open_row(cycle);
-          bool demanded = false;
-          for (const auto& e : rdq_) {
-            if (e.bank == action.bank && open == std::make_optional(e.row)) {
-              demanded = true;
-              break;
-            }
-          }
-          if (!demanded && bank.earliest_precharge(cycle) == cycle) {
-            bank.precharge(cycle);
-            if (energy_ != nullptr) energy_->add(EnergyEvent::kPrecharge);
+          if (!row_demanded(action.bank, *bank.open_row(cycle)) &&
+              bank.earliest_precharge(cycle) == cycle) {
+            precharge(bank, cycle);
             return true;
           }
         }
@@ -716,9 +710,7 @@ bool VaultController::issue_prefetch(u64 cycle) {
       }
       case dram::BankState::kPrecharged:
         if (bank.earliest_activate(cycle) == cycle && act_allowed(cycle)) {
-          bank.activate(cycle, action.row);
-          record_act(cycle);
-          if (energy_ != nullptr) energy_->add(EnergyEvent::kActivate);
+          activate(bank, cycle, action.row);
           return true;
         }
         ++it;

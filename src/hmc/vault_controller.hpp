@@ -1,9 +1,9 @@
 // One HMC vault controller (logic-layer slice).
 //
-// Owns: 16 DRAM banks, a 32-entry read queue and 32-entry write queue
-// (Table I), an FR-FCFS scheduler with write-drain hysteresis, the
-// autonomous refresh engine, the per-vault TSV data bus, and — the paper's
-// subject — the prefetch engine: a PrefetchScheme making row-fetch
+// Owns: the geometry's DRAM banks, a 32-entry read queue and 32-entry
+// write queue (Table I), an FR-FCFS scheduler with write-drain hysteresis,
+// the autonomous refresh engine, the per-vault TSV data bus, and — the
+// paper's subject — the prefetch engine: a PrefetchScheme making row-fetch
 // decisions and a PrefetchBuffer holding fetched rows.
 //
 // Event model: a wake issues at most one DRAM command (single command bus
@@ -52,10 +52,11 @@ enum class PagePolicy : u8 {
   kClosed,  ///< Rows close as soon as no queued demand wants them.
 };
 
+/// Per-vault scheduler settings. The vault's shape (banks, lines per row)
+/// comes from the device's HmcGeometry.
 struct VaultConfig {
   dram::TimingParams timing = dram::default_timing();
   PagePolicy page_policy = PagePolicy::kOpen;
-  u32 banks = 16;
   u32 read_queue = 32;
   u32 write_queue = 32;
   /// Write-drain hysteresis: start draining at >= high, stop at <= low.
@@ -63,15 +64,6 @@ struct VaultConfig {
   u32 write_drain_low = 8;
   prefetch::PrefetchBufferConfig buffer;  ///< hit_latency is in CPU cycles.
   bool refresh_enabled = true;
-  /// Seed a fetched row's utilization bitmap with the lines already served
-  /// while it sat in the DRAM row buffer, so Section 3.2's full-utilization
-  /// test sees the row's whole life. Ablatable.
-  bool seed_buffer_utilization = true;
-  /// When true, a row copy occupies the vault's demand data bus for its
-  /// whole duration. The paper's premise (Section 2.4) is that copies ride
-  /// the wide internal TSVs instead, so the default is false — the copy
-  /// only occupies the *bank*. Enable for the bandwidth-coupling ablation.
-  bool row_fetch_uses_bus = false;
 
   bool operator==(const VaultConfig&) const = default;
 };
@@ -82,7 +74,11 @@ class VaultController final {
   /// adds crossbar + link delays on top of `ready`).
   using RespondFn = std::function<void(const MemRequest&, Tick ready)>;
 
-  VaultController(sim::Simulator& sim, VaultId id, const VaultConfig& config,
+  /// `geometry` sets the vault's shape: its bank count and the lines per
+  /// row of its prefetch buffer. `scheme` must be built for the same bank
+  /// count.
+  VaultController(sim::Simulator& sim, VaultId id, const HmcGeometry& geometry,
+                  const VaultConfig& config,
                   std::unique_ptr<prefetch::PrefetchScheme> scheme,
                   energy::EnergyModel* energy, StatRegistry& stats,
                   RespondFn respond, obs::TraceRecorder* trace = nullptr);
@@ -195,6 +191,21 @@ class VaultController final {
   void serve_via_fetch(const QueueEntry& entry, u64 cycle,
                        bool precharge_after);
 
+  // One function per DRAM command a wake issues (REF aside): each drives
+  // the bank and charges the command's energy.
+  void precharge(dram::Bank& bank, u64 cycle);
+  void activate(dram::Bank& bank, u64 cycle, RowId row, u64 trace_id = 0);
+  /// Copies (bank,row) toward the prefetch buffer and schedules its
+  /// landing; a `demand` the copy serves itself has its line consumed out
+  /// of the landed row. Returns the cycle the copy completes.
+  u64 fetch_row(BankId bank, RowId row, u64 cycle,
+                const QueueEntry* demand = nullptr);
+  /// Counts a demand read sent to DRAM and schedules its response at
+  /// `ready`.
+  void respond_at(const MemRequest& req, Tick ready);
+  /// True if a queued demand read targets (bank,row).
+  bool row_demanded(BankId bank, RowId row) const;
+
   bool serve_from_buffer(const QueueEntry& entry, u64 cycle,
                          bool count_miss);
 
@@ -224,6 +235,7 @@ class VaultController final {
 
   sim::Simulator& sim_;
   VaultId id_;
+  HmcGeometry geom_;
   VaultConfig cfg_;
   std::vector<dram::Bank> banks_;
   prefetch::PrefetchBuffer buffer_;

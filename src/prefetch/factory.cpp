@@ -43,7 +43,7 @@ SchemeKind scheme_from_string(const std::string& name) {
   throw std::out_of_range("unknown prefetch scheme: " + name);
 }
 
-std::unique_ptr<PrefetchScheme> make_scheme(SchemeKind kind,
+std::unique_ptr<PrefetchScheme> make_scheme(SchemeKind kind, u32 banks,
                                             const SchemeParams& params) {
   switch (kind) {
     case SchemeKind::kNone:
@@ -54,21 +54,12 @@ std::unique_ptr<PrefetchScheme> make_scheme(SchemeKind kind,
       return std::make_unique<BaseHitScheme>(params.base_hit_min_hits);
     case SchemeKind::kMmd:
       return std::make_unique<MmdScheme>(params.mmd);
-    case SchemeKind::kCamps: {
-      CampsParams p = params.camps;
-      p.modified_replacement = false;
-      return std::make_unique<CampsScheme>(p);
-    }
-    case SchemeKind::kCampsMod: {
-      CampsParams p = params.camps;
-      p.modified_replacement = true;
-      return std::make_unique<CampsScheme>(p);
-    }
-    case SchemeKind::kStream: {
-      StreamParams p = params.stream;
-      p.banks = params.camps.banks;  // track the vault geometry
-      return std::make_unique<StreamScheme>(p);
-    }
+    case SchemeKind::kCamps:
+    case SchemeKind::kCampsMod:
+      return std::make_unique<CampsScheme>(banks, params.camps,
+                                           kind == SchemeKind::kCampsMod);
+    case SchemeKind::kStream:
+      return std::make_unique<StreamScheme>(banks, params.stream);
   }
   throw std::out_of_range("unknown scheme kind");
 }

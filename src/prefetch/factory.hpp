@@ -40,8 +40,9 @@ struct SchemeParams {
   bool operator==(const SchemeParams&) const = default;
 };
 
-/// Builds a fresh scheme instance (call once per vault).
-std::unique_ptr<PrefetchScheme> make_scheme(SchemeKind kind,
+/// Builds a fresh scheme instance for a vault of `banks` banks (call once
+/// per vault).
+std::unique_ptr<PrefetchScheme> make_scheme(SchemeKind kind, u32 banks,
                                             const SchemeParams& params = {});
 
 }  // namespace camps::prefetch

@@ -12,15 +12,19 @@
 namespace camps::prefetch {
 
 PrefetchBuffer::PrefetchBuffer(const PrefetchBufferConfig& config,
+                               u32 lines_per_row,
                                std::unique_ptr<ReplacementPolicy> policy)
-    : cfg_(config), policy_(std::move(policy)), slots_(config.entries) {
+    : cfg_(config),
+      lines_per_row_(lines_per_row),
+      policy_(std::move(policy)),
+      slots_(config.entries) {
   CAMPS_ASSERT(cfg_.entries > 0);
-  CAMPS_ASSERT_MSG(cfg_.lines_per_row >= 1 && cfg_.lines_per_row <= 64,
+  CAMPS_ASSERT_MSG(lines_per_row_ >= 1 && lines_per_row_ <= 64,
                    "reference bitmap is a u64");
   CAMPS_ASSERT(policy_ != nullptr);
   mru_order_.reserve(cfg_.entries);
-  evict_util_hist_.assign(cfg_.lines_per_row + 1, 0);
-  evict_unused_hist_.assign(cfg_.lines_per_row + 1, 0);
+  evict_util_hist_.assign(lines_per_row_ + 1, 0);
+  evict_unused_hist_.assign(lines_per_row_ + 1, 0);
 }
 
 std::optional<u32> PrefetchBuffer::find(BankRow row) const {
@@ -63,7 +67,7 @@ void PrefetchBuffer::touch_mru(u32 slot) {
 
 bool PrefetchBuffer::access(BankRow row, LineId line, AccessType type,
                             bool fill_touch) {
-  CAMPS_ASSERT(line < cfg_.lines_per_row);
+  CAMPS_ASSERT(line < lines_per_row_);
   const auto slot = find(row);
   if (!slot) {
     ++misses_;
@@ -97,7 +101,7 @@ std::vector<VictimCandidate> PrefetchBuffer::candidates() const {
         .slot = mru_order_[pos],
         .utilization = e.utilization,
         .recency = recency_of_position(pos),
-        .fully_used = e.fully_transferred(cfg_.lines_per_row),
+        .fully_used = e.fully_transferred(lines_per_row_),
     });
   }
   return out;
@@ -113,7 +117,7 @@ EvictedRow PrefetchBuffer::pop_slot(u32 slot) {
       .utilization = e.utilization,
   };
   ++finished_rows_;
-  const u32 bucket = std::min(victim.utilization, cfg_.lines_per_row);
+  const u32 bucket = std::min(victim.utilization, lines_per_row_);
   ++evict_util_hist_[bucket];
   if (victim.referenced) ++finished_referenced_;
   if (!victim.referenced) {
@@ -139,8 +143,8 @@ InsertResult PrefetchBuffer::insert(BankRow row, u64 seed_bitmap,
                                     u64 stamp) {
   InsertResult result;
   if (contains(row)) return result;
-  if (cfg_.lines_per_row < 64) {
-    seed_bitmap &= (u64{1} << cfg_.lines_per_row) - 1;
+  if (lines_per_row_ < 64) {
+    seed_bitmap &= (u64{1} << lines_per_row_) - 1;
   }
 
   if (mru_order_.size() == cfg_.entries) {

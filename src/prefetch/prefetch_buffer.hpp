@@ -23,9 +23,8 @@
 namespace camps::prefetch {
 
 struct PrefetchBufferConfig {
-  u32 entries = 16;        ///< 16 KB / 1 KB rows.
-  u32 lines_per_row = 16;  ///< 1 KB row / 64 B lines. Must be <= 64.
-  u64 hit_latency = 22;    ///< Vault-controller cycles to serve a hit.
+  u32 entries = 16;      ///< 16 KB / 1 KB rows.
+  u64 hit_latency = 22;  ///< Vault-controller cycles to serve a hit.
 
   bool operator==(const PrefetchBufferConfig&) const = default;
 };
@@ -46,7 +45,9 @@ struct InsertResult {
 
 class PrefetchBuffer final {
  public:
-  PrefetchBuffer(const PrefetchBufferConfig& config,
+  /// `lines_per_row` is the vault geometry's row size in lines (<= 64,
+  /// the width of the reference bitmaps).
+  PrefetchBuffer(const PrefetchBufferConfig& config, u32 lines_per_row,
                  std::unique_ptr<ReplacementPolicy> policy);
 
   /// Arms span recording: inserts and evictions become instant events on
@@ -116,7 +117,6 @@ class PrefetchBuffer final {
 
   u32 size() const { return static_cast<u32>(mru_order_.size()); }
   u32 capacity() const { return cfg_.entries; }
-  const PrefetchBufferConfig& config() const { return cfg_; }
 
   /// Paper recency value of a resident row (MRU = entries-1); nullopt when
   /// absent. Exposed for tests and the replacement policy.
@@ -176,6 +176,7 @@ class PrefetchBuffer final {
   EvictedRow pop_slot(u32 slot);
 
   PrefetchBufferConfig cfg_;
+  u32 lines_per_row_;
   std::unique_ptr<ReplacementPolicy> policy_;
   obs::TraceRecorder* trace_ = nullptr;
   u32 trace_track_ = 0;

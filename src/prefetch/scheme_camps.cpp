@@ -29,8 +29,12 @@ namespace {
 
 }  // namespace
 
-CampsScheme::CampsScheme(const CampsParams& params)
-    : p_(params), rut_(params.banks), ct_(params.conflict_entries) {
+CampsScheme::CampsScheme(u32 banks, const CampsParams& params,
+                         bool modified_replacement)
+    : p_(params),
+      modified_replacement_(modified_replacement),
+      rut_(banks),
+      ct_(params.conflict_entries) {
   CAMPS_ASSERT(p_.utilization_threshold >= 1);
 }
 
@@ -108,7 +112,7 @@ void CampsScheme::on_fault_flush() {
 }
 
 std::unique_ptr<ReplacementPolicy> CampsScheme::make_replacement() const {
-  return p_.modified_replacement ? make_utilization_recency() : make_lru();
+  return modified_replacement_ ? make_utilization_recency() : make_lru();
 }
 
 }  // namespace camps::prefetch

@@ -31,18 +31,19 @@
 namespace camps::prefetch {
 
 struct CampsParams {
-  u32 banks = 16;              ///< RUT entries per vault (Table I).
   u32 conflict_entries = 32;   ///< CT entries per vault.
   u32 utilization_threshold = 4;
-  /// CAMPS-MOD: use the utilization+recency buffer replacement.
-  bool modified_replacement = false;
 
   bool operator==(const CampsParams&) const = default;
 };
 
 class CampsScheme final : public PrefetchScheme {
  public:
-  explicit CampsScheme(const CampsParams& params = {});
+  /// `banks` is the vault's bank count: one RUT entry per bank.
+  /// `modified_replacement` selects CAMPS-MOD (utilization+recency buffer
+  /// replacement) over CAMPS (LRU).
+  explicit CampsScheme(u32 banks, const CampsParams& params = {},
+                       bool modified_replacement = false);
 
   PrefetchDecision on_demand_access(const AccessContext& ctx) override;
   /// Degradation flush (fault recovery): empties the RUT and CT wholesale.
@@ -50,12 +51,12 @@ class CampsScheme final : public PrefetchScheme {
   /// hand-off state cannot be corrupted mid-flight.
   void on_fault_flush() override;
   std::string name() const override {
-    return p_.modified_replacement ? "CAMPS-MOD" : "CAMPS";
+    return modified_replacement_ ? "CAMPS-MOD" : "CAMPS";
   }
   std::unique_ptr<ReplacementPolicy> make_replacement() const override;
 
-  /// Invariants: the RUT and CT individually hold (delegated), the tables
-  /// keep their configured shapes, a row's profile lives in the RUT *or*
+  /// Invariants: the RUT and CT individually hold (delegated), the CT
+  /// keeps its configured capacity, a row's profile lives in the RUT *or*
   /// the CT but never both (the Section 3.1 hand-off moves it atomically),
   /// and the prefetch counters cross-foot. In debug builds this also runs
   /// automatically after every structural transition (see
@@ -78,6 +79,7 @@ class CampsScheme final : public PrefetchScheme {
   friend struct check::TestCorruptor;
 
   CampsParams p_;
+  bool modified_replacement_;
   RowUtilizationTable rut_;
   ConflictTable ct_;
   u64 threshold_prefetches_ = 0;

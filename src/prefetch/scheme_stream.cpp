@@ -4,9 +4,9 @@
 
 namespace camps::prefetch {
 
-StreamScheme::StreamScheme(const StreamParams& params)
-    : p_(params), detectors_(params.banks) {
-  CAMPS_ASSERT(p_.banks > 0);
+StreamScheme::StreamScheme(u32 banks, const StreamParams& params)
+    : p_(params), detectors_(banks) {
+  CAMPS_ASSERT(banks > 0);
   CAMPS_ASSERT(p_.confidence_threshold >= 1);
   CAMPS_ASSERT(p_.degree >= 1);
 }

@@ -19,7 +19,6 @@
 namespace camps::prefetch {
 
 struct StreamParams {
-  u32 banks = 16;
   u32 confidence_threshold = 2;  ///< Same-direction steps to confirm.
   u32 degree = 2;                ///< Rows prefetched ahead once confirmed.
 
@@ -28,7 +27,8 @@ struct StreamParams {
 
 class StreamScheme final : public PrefetchScheme {
  public:
-  explicit StreamScheme(const StreamParams& params = {});
+  /// `banks` is the vault's bank count: one detector per bank.
+  explicit StreamScheme(u32 banks, const StreamParams& params = {});
 
   PrefetchDecision on_demand_access(const AccessContext& ctx) override;
   std::string name() const override { return "STREAM"; }

@@ -31,7 +31,6 @@ SystemConfig hmc_gen1_config(prefetch::SchemeKind scheme) {
   SystemConfig cfg = table1_config(scheme);
   cfg.hmc.geometry.vaults = 16;
   cfg.hmc.geometry.banks_per_vault = 8;
-  cfg.hmc.vault.banks = 8;
   cfg.hmc.geometry.rows_per_bank = 16384;  // 2 GB cube
   cfg.hmc.link.gbps_per_lane = 10.0;
   return cfg;
@@ -75,7 +74,6 @@ SystemConfig apply_overrides(SystemConfig base, const ConfigFile& cfg) {
 
   read("hmc.vaults", base.hmc.geometry.vaults);
   read("hmc.banks", base.hmc.geometry.banks_per_vault);
-  base.hmc.vault.banks = base.hmc.geometry.banks_per_vault;
   read("hmc.links", base.hmc.num_links);
   read("hmc.rows_per_bank", base.hmc.geometry.rows_per_bank);
 

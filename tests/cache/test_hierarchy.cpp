@@ -210,39 +210,6 @@ TEST(Hierarchy, ResetStatsKeepsWarmContents) {
   EXPECT_EQ(h.timed_read(0, 0x70000), 2u) << "contents stay warm";
 }
 
-TEST(Hierarchy, FiniteMshrsDeferButComplete) {
-  sim::Simulator sim;
-  FakeMemory memory{sim, 500 * sim::kCpuTicksPerCycle};
-  HierarchyConfig cfg = Harness::small_config();
-  cfg.mshr_entries = 2;
-  CacheHierarchy hier(sim, cfg, 1, &memory);
-  int done = 0;
-  // Eight distinct-line misses with only two MSHRs: at most two fetches
-  // may ever be outstanding, yet all loads must complete.
-  for (int i = 0; i < 8; ++i) {
-    hier.read(0, 0x100000 + 64 * static_cast<Addr>(i), [&] { ++done; });
-    EXPECT_LE(hier.mshrs().entries_in_use(), 2u);
-  }
-  EXPECT_GT(hier.mshrs().full_rejections(), 0u);
-  sim.run();
-  EXPECT_EQ(done, 8);
-  EXPECT_EQ(memory.reads.size(), 8u);
-}
-
-TEST(Hierarchy, FiniteMshrsSerializeMemoryTraffic) {
-  sim::Simulator sim;
-  FakeMemory memory{sim, 500 * sim::kCpuTicksPerCycle};
-  HierarchyConfig cfg = Harness::small_config();
-  cfg.mshr_entries = 1;
-  CacheHierarchy hier(sim, cfg, 1, &memory);
-  Tick first_done = 0, second_done = 0;
-  hier.read(0, 0x200000, [&] { first_done = sim.now(); });
-  hier.read(0, 0x300000, [&] { second_done = sim.now(); });
-  sim.run();
-  // With one MSHR the second fetch cannot overlap the first.
-  EXPECT_GE(second_done - first_done, 500 * sim::kCpuTicksPerCycle * 9 / 10);
-}
-
 TEST(Hierarchy, FillWritebacksCarryTheFetchingCore) {
   // Only core 1 runs. Its stores leave dirty lines that trickle down into
   // the L3; its read flood then fills the L3 from memory, and every dirty

@@ -49,16 +49,6 @@ TEST(Mshr, ReallocateAfterComplete) {
   EXPECT_EQ(mshrs.allocate(0x1000, [] {}), MshrFile::Allocate::kMustFetch);
 }
 
-TEST(Mshr, CapacityLimit) {
-  MshrFile mshrs(2);
-  EXPECT_EQ(mshrs.allocate(0x1000, [] {}), MshrFile::Allocate::kMustFetch);
-  EXPECT_EQ(mshrs.allocate(0x2000, [] {}), MshrFile::Allocate::kMustFetch);
-  EXPECT_EQ(mshrs.allocate(0x3000, [] {}), MshrFile::Allocate::kFull);
-  EXPECT_EQ(mshrs.full_rejections(), 1u);
-  // Merging into an existing entry still works when full.
-  EXPECT_EQ(mshrs.allocate(0x1000, [] {}), MshrFile::Allocate::kMerged);
-}
-
 TEST(Mshr, UnlimitedByDefault) {
   MshrFile mshrs;
   for (Addr a = 0; a < 1000 * 64; a += 64) {

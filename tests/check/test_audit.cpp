@@ -95,6 +95,10 @@ struct TestCorruptor {
 
 namespace {
 
+// Table I's vault shape, as HmcGeometry's defaults give it.
+constexpr u32 kBanks = 16;
+constexpr u32 kLinesPerRow = 16;
+
 bool reports(const AuditReporter& rep, const std::string& invariant) {
   const auto& v = rep.violations();
   return std::any_of(v.begin(), v.end(), [&](const Violation& x) {
@@ -185,7 +189,7 @@ TEST(CleanAudit, BankThroughLegalCommandSequence) {
 }
 
 TEST(CleanAudit, CampsTablesAfterSchemeTraffic) {
-  prefetch::CampsScheme scheme;
+  prefetch::CampsScheme scheme(kBanks);
   prefetch::AccessContext ctx;
   for (u32 i = 0; i < 200; ++i) {
     ctx.bank = i % 16;
@@ -201,11 +205,11 @@ TEST(CleanAudit, CampsTablesAfterSchemeTraffic) {
 }
 
 TEST(CleanAudit, PrefetchBufferAndMshr) {
-  prefetch::PrefetchBuffer buffer({.entries = 4, .lines_per_row = 16},
+  prefetch::PrefetchBuffer buffer({.entries = 4}, kLinesPerRow,
                                   prefetch::make_lru());
   for (u32 r = 0; r < 6; ++r) buffer.insert(BankRow{0, r});
   buffer.access(BankRow{0, 4}, 3, AccessType::kRead);
-  cache::MshrFile mshrs(8);
+  cache::MshrFile mshrs;
   mshrs.allocate(0x1000, [] {});
   mshrs.allocate(0x1000, [] {});
   AuditReporter rep;
@@ -235,7 +239,7 @@ TEST(CorruptionAudit, ConflictTableOverflow) {
 }
 
 TEST(CorruptionAudit, RecencyStackNotAPermutation) {
-  prefetch::PrefetchBuffer buffer({.entries = 8, .lines_per_row = 16},
+  prefetch::PrefetchBuffer buffer({.entries = 8}, kLinesPerRow,
                                   prefetch::make_lru());
   buffer.insert(BankRow{1, 10});
   buffer.insert(BankRow{1, 11});
@@ -246,7 +250,7 @@ TEST(CorruptionAudit, RecencyStackNotAPermutation) {
 }
 
 TEST(CorruptionAudit, UtilizationCounterDriftsFromBitmap) {
-  prefetch::PrefetchBuffer buffer({.entries = 8, .lines_per_row = 16},
+  prefetch::PrefetchBuffer buffer({.entries = 8}, kLinesPerRow,
                                   prefetch::make_lru());
   buffer.insert(BankRow{1, 10});
   buffer.access(BankRow{1, 10}, 5, AccessType::kRead);
@@ -307,10 +311,10 @@ TEST(CorruptionAudit, EventQueueGenerationNotAdvanced) {
 TEST(CorruptionAudit, VaultWithWorkLostItsWake) {
   sim::Simulator sim;
   StatRegistry stats;
-  auto scheme = prefetch::make_scheme(prefetch::SchemeKind::kNone);
+  auto scheme = prefetch::make_scheme(prefetch::SchemeKind::kNone, kBanks);
   auto respond = [](const hmc::MemRequest&, Tick) {};
-  hmc::VaultController vault(sim, 0, hmc::VaultConfig{}, std::move(scheme),
-                             nullptr, stats, respond);
+  hmc::VaultController vault(sim, 0, hmc::HmcGeometry{}, hmc::VaultConfig{},
+                             std::move(scheme), nullptr, stats, respond);
   hmc::DecodedAddr addr;
   addr.bank = 3;
   addr.row = 12;
@@ -333,10 +337,10 @@ TEST(CorruptionAudit, VaultWakeMissesAnArrival) {
   // after its arrival; a wake parked past it would leave it waiting.
   sim::Simulator sim;
   StatRegistry stats;
-  auto scheme = prefetch::make_scheme(prefetch::SchemeKind::kNone);
+  auto scheme = prefetch::make_scheme(prefetch::SchemeKind::kNone, kBanks);
   auto respond = [](const hmc::MemRequest&, Tick) {};
-  hmc::VaultController vault(sim, 0, hmc::VaultConfig{}, std::move(scheme),
-                             nullptr, stats, respond);
+  hmc::VaultController vault(sim, 0, hmc::HmcGeometry{}, hmc::VaultConfig{},
+                             std::move(scheme), nullptr, stats, respond);
   hmc::DecodedAddr addr;
   addr.bank = 3;
   addr.row = 12;
@@ -361,12 +365,12 @@ TEST(CorruptionAudit, DrainingVaultSleepsPastItsBlockingBank) {
   // the refresh, and every demand behind it, back.
   sim::Simulator sim;
   StatRegistry stats;
-  auto scheme = prefetch::make_scheme(prefetch::SchemeKind::kNone);
+  auto scheme = prefetch::make_scheme(prefetch::SchemeKind::kNone, kBanks);
   auto respond = [](const hmc::MemRequest&, Tick) {};
   hmc::VaultConfig cfg;
   cfg.refresh_enabled = true;
-  hmc::VaultController vault(sim, 0, cfg, std::move(scheme), nullptr, stats,
-                             respond);
+  hmc::VaultController vault(sim, 0, hmc::HmcGeometry{}, cfg, std::move(scheme),
+                             nullptr, stats, respond);
   const auto& t = cfg.timing;
   hmc::DecodedAddr addr;
   addr.bank = 3;
@@ -502,7 +506,7 @@ TEST(CorruptionAudit, L2HitRanAheadIntoASetWithAPendingFill) {
 }
 
 TEST(CorruptionAudit, RowProfiledInRutAndArchivedInCt) {
-  prefetch::CampsScheme scheme;
+  prefetch::CampsScheme scheme(kBanks);
   prefetch::AccessContext ctx;
   ctx.bank = 4;
   ctx.row = 99;

@@ -50,8 +50,8 @@ TEST(FaultRecovery, CrcFailedTransferReplaysByteIdentically) {
   faulty.attach_faults(&plan, /*link_index=*/0, /*upstream=*/false);
   LinkDirection clean;
 
-  const auto clean_xfer = clean.submit_ex(0, 1);
-  const auto xfer = faulty.submit_ex(0, 1);
+  const auto clean_xfer = clean.submit(0, 1);
+  const auto xfer = faulty.submit(0, 1);
 
   // The replay delivers the identical packet — same sequence number, same
   // flit count charged — it is only late by one detection flight, the
@@ -71,7 +71,7 @@ TEST(FaultRecovery, CrcFailedTransferReplaysByteIdentically) {
 
   // The next packet through the same direction is untouched (targeted
   // fault hit sequence 0 only), merely queued behind the replay.
-  const auto next = faulty.submit_ex(0, 1);
+  const auto next = faulty.submit(0, 1);
   EXPECT_EQ(next.replays, 0u);
   EXPECT_FALSE(next.dropped);
   EXPECT_EQ(next.sequence, xfer.sequence + 1);
@@ -84,7 +84,7 @@ TEST(FaultRecovery, DroppedTransferNeverDelivers) {
   fault::FaultPlan plan(cfg, stats);
   LinkDirection link;
   link.attach_faults(&plan, 0, false);
-  const auto xfer = link.submit_ex(0, 1);
+  const auto xfer = link.submit(0, 1);
   EXPECT_TRUE(xfer.dropped);
   EXPECT_EQ(link.drops(), 1u);
   EXPECT_EQ(link.crc_errors(), 0u);
@@ -95,18 +95,17 @@ TEST(FaultRecovery, DroppedTransferNeverDelivers) {
 // --- token flow control ------------------------------------------------------
 
 TEST(FaultRecovery, TokenPoolConservedAndStallsSerialization) {
-  LinkParams p;
-  p.tokens = 2;  // two 1-flit packets in flight, the third must wait
-  LinkDirection link(p);
+  const LinkParams p;
+  LinkDirection link(p, 2);  // two 1-flit packets in flight, the third waits
 
-  const auto first = link.submit_ex(0, 1);
+  const auto first = link.submit(0, 1);
   EXPECT_EQ(link.tokens_available() + link.tokens_pending(), 2u);
-  link.submit_ex(0, 1);
+  link.submit(0, 1);
   EXPECT_EQ(link.tokens_available() + link.tokens_pending(), 2u);
 
   // Third packet: pool exhausted until the first packet's credit returns
   // one flight after its delivery.
-  const auto third = link.submit_ex(0, 1);
+  const auto third = link.submit(0, 1);
   EXPECT_EQ(third.start, first.deliver + p.token_return_ticks);
   EXPECT_EQ(link.tokens_available() + link.tokens_pending(), 2u);
 }

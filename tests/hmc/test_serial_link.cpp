@@ -20,13 +20,13 @@ TEST(SerialLink, DeliveryIncludesFlightTime) {
   LinkParams p;
   p.flight_ticks = 96;
   LinkDirection dir(p);
-  EXPECT_EQ(dir.submit(0, 1), 16u + 96u);
+  EXPECT_EQ(dir.submit(0, 1).deliver, 16u + 96u);
 }
 
 TEST(SerialLink, BackToBackPacketsSerialize) {
   LinkDirection dir;
-  const Tick first = dir.submit(0, 5);
-  const Tick second = dir.submit(0, 5);
+  const Tick first = dir.submit(0, 5).deliver;
+  const Tick second = dir.submit(0, 5).deliver;
   EXPECT_EQ(second - first, dir.serialization_ticks(5));
 }
 
@@ -34,7 +34,7 @@ TEST(SerialLink, IdleGapsDoNotAccumulateCredit) {
   LinkDirection dir;
   dir.submit(0, 1);
   // Submit long after the link went idle: latency is from submission time.
-  const Tick t = dir.submit(10000, 1);
+  const Tick t = dir.submit(10000, 1).deliver;
   EXPECT_EQ(t, 10000 + dir.serialization_ticks(1) + LinkParams{}.flight_ticks);
 }
 
@@ -89,7 +89,7 @@ TEST(SerialLink, PowerManagementSleepsAfterTimeout) {
   dir.submit(0, 1);  // first packet never pays a wake penalty
   const Tick busy_after_first = dir.busy_until();
   // A packet well past the timeout pays the retrain latency.
-  const Tick t = dir.submit(busy_after_first + 1000, 1);
+  const Tick t = dir.submit(busy_after_first + 1000, 1).deliver;
   EXPECT_EQ(t, busy_after_first + 1000 + 50 + dir.serialization_ticks(1) +
                    p.flight_ticks);
   EXPECT_EQ(dir.wakeups(), 1u);

@@ -31,9 +31,11 @@ struct Harness {
     VaultConfig cfg;
     cfg.refresh_enabled = refresh;
     cfg.page_policy = policy;
+    const HmcGeometry geometry;
     vault = std::make_unique<VaultController>(
-        sim, 0, cfg, prefetch::make_scheme(scheme, params), &energy, stats,
-        [this](const MemRequest& req, Tick ready) {
+        sim, 0, geometry, cfg,
+        prefetch::make_scheme(scheme, geometry.banks_per_vault, params),
+        &energy, stats, [this](const MemRequest& req, Tick ready) {
           responses.emplace_back(req.id, ready);
         });
   }

@@ -21,16 +21,17 @@ AccessContext ctx(RowBufferOutcome outcome, BankId bank, RowId row) {
   return c;
 }
 
+constexpr u32 kBanks = 16;  // Table I
+
 CampsParams params(u32 threshold = 4) {
   CampsParams p;
-  p.banks = 16;
   p.conflict_entries = 32;
   p.utilization_threshold = threshold;
   return p;
 }
 
 TEST(CampsScheme, RowHitsBelowThresholdDoNothing) {
-  CampsScheme camps(params(4));
+  CampsScheme camps(kBanks, params(4));
   // First access opened the row (empty), then two hits: counts 1,2,3.
   EXPECT_FALSE(camps.on_demand_access(ctx(RowBufferOutcome::kEmpty, 0, 5)).any());
   EXPECT_FALSE(camps.on_demand_access(ctx(RowBufferOutcome::kHit, 0, 5)).any());
@@ -39,7 +40,7 @@ TEST(CampsScheme, RowHitsBelowThresholdDoNothing) {
 }
 
 TEST(CampsScheme, ThresholdTriggersFetchAndPrecharge) {
-  CampsScheme camps(params(4));
+  CampsScheme camps(kBanks, params(4));
   camps.on_demand_access(ctx(RowBufferOutcome::kEmpty, 0, 5));
   camps.on_demand_access(ctx(RowBufferOutcome::kHit, 0, 5));
   camps.on_demand_access(ctx(RowBufferOutcome::kHit, 0, 5));
@@ -53,13 +54,13 @@ TEST(CampsScheme, ThresholdTriggersFetchAndPrecharge) {
 }
 
 TEST(CampsScheme, ThresholdOneFiresImmediately) {
-  CampsScheme camps(params(1));
+  CampsScheme camps(kBanks, params(1));
   const auto d = camps.on_demand_access(ctx(RowBufferOutcome::kEmpty, 0, 5));
   EXPECT_TRUE(d.fetch_row);
 }
 
 TEST(CampsScheme, DisplacedRutEntryMovesToConflictTable) {
-  CampsScheme camps(params());
+  CampsScheme camps(kBanks, params());
   camps.on_demand_access(ctx(RowBufferOutcome::kEmpty, 0, 5));
   // A different row opens in bank 0: row 5's profile moves to the CT.
   camps.on_demand_access(ctx(RowBufferOutcome::kConflict, 0, 9));
@@ -68,7 +69,7 @@ TEST(CampsScheme, DisplacedRutEntryMovesToConflictTable) {
 }
 
 TEST(CampsScheme, ConflictTableHitTriggersFetch) {
-  CampsScheme camps(params());
+  CampsScheme camps(kBanks, params());
   camps.on_demand_access(ctx(RowBufferOutcome::kEmpty, 0, 5));     // profile 5
   camps.on_demand_access(ctx(RowBufferOutcome::kConflict, 0, 9));  // 5 -> CT
   // Row 5 reactivates: it is a proven conflict-causer.
@@ -81,7 +82,7 @@ TEST(CampsScheme, ConflictTableHitTriggersFetch) {
 }
 
 TEST(CampsScheme, ConflictFetchLeavesRutAlone) {
-  CampsScheme camps(params());
+  CampsScheme camps(kBanks, params());
   camps.on_demand_access(ctx(RowBufferOutcome::kEmpty, 0, 5));
   camps.on_demand_access(ctx(RowBufferOutcome::kConflict, 0, 9));  // 5 -> CT
   camps.on_demand_access(ctx(RowBufferOutcome::kConflict, 0, 5));  // CT hit
@@ -92,7 +93,7 @@ TEST(CampsScheme, ConflictFetchLeavesRutAlone) {
 }
 
 TEST(CampsScheme, MissWithNoCtEntryStartsProfiling) {
-  CampsScheme camps(params());
+  CampsScheme camps(kBanks, params());
   const auto d = camps.on_demand_access(ctx(RowBufferOutcome::kEmpty, 3, 42));
   EXPECT_FALSE(d.any());
   ASSERT_TRUE(camps.rut().entry(3).has_value());
@@ -101,7 +102,7 @@ TEST(CampsScheme, MissWithNoCtEntryStartsProfiling) {
 }
 
 TEST(CampsScheme, HitsAcrossBanksProfileIndependently) {
-  CampsScheme camps(params(3));
+  CampsScheme camps(kBanks, params(3));
   camps.on_demand_access(ctx(RowBufferOutcome::kEmpty, 0, 1));
   camps.on_demand_access(ctx(RowBufferOutcome::kEmpty, 1, 2));
   camps.on_demand_access(ctx(RowBufferOutcome::kHit, 0, 1));
@@ -115,7 +116,7 @@ TEST(CampsScheme, HitsAcrossBanksProfileIndependently) {
 TEST(CampsScheme, StaleRutEntryOnHitPathDisplacesToCt) {
   // A row can be closed by refresh and a different row opened without a
   // conflict classification; the stale profile must still migrate.
-  CampsScheme camps(params());
+  CampsScheme camps(kBanks, params());
   camps.on_demand_access(ctx(RowBufferOutcome::kEmpty, 0, 5));
   camps.on_demand_access(ctx(RowBufferOutcome::kHit, 0, 7));  // stale bank 0
   EXPECT_TRUE(camps.conflict_table().contains(BankRow{0, 5}));
@@ -125,7 +126,7 @@ TEST(CampsScheme, StaleRutEntryOnHitPathDisplacesToCt) {
 TEST(CampsScheme, CtCapacityEvictsLru) {
   CampsParams p = params();
   p.conflict_entries = 2;
-  CampsScheme camps(p);
+  CampsScheme camps(kBanks, p);
   // Displace three profiles into the 2-entry CT.
   for (RowId r = 0; r < 4; ++r) {
     camps.on_demand_access(ctx(r == 0 ? RowBufferOutcome::kEmpty
@@ -138,23 +139,20 @@ TEST(CampsScheme, CtCapacityEvictsLru) {
 }
 
 TEST(CampsScheme, NamesFollowVariant) {
-  EXPECT_EQ(CampsScheme(params()).name(), "CAMPS");
-  CampsParams p = params();
-  p.modified_replacement = true;
-  EXPECT_EQ(CampsScheme(p).name(), "CAMPS-MOD");
+  EXPECT_EQ(CampsScheme(kBanks, params()).name(), "CAMPS");
+  EXPECT_EQ(CampsScheme(kBanks, params(), true).name(), "CAMPS-MOD");
 }
 
 TEST(CampsScheme, ReplacementPolicyFollowsVariant) {
-  EXPECT_EQ(CampsScheme(params()).make_replacement()->name(), "lru");
-  CampsParams p = params();
-  p.modified_replacement = true;
-  EXPECT_EQ(CampsScheme(p).make_replacement()->name(), "util-recency");
+  EXPECT_EQ(CampsScheme(kBanks, params()).make_replacement()->name(), "lru");
+  EXPECT_EQ(CampsScheme(kBanks, params(), true).make_replacement()->name(),
+            "util-recency");
 }
 
 TEST(CampsScheme, PaperHardwareOverhead) {
   // Section 3.3: (16 + 32) x 20 bits = 120 bytes per vault; x32 vaults =
   // 3.75 KB per cube.
-  CampsScheme camps(params());
+  CampsScheme camps(kBanks, params());
   EXPECT_EQ(camps.overhead_bits(), 960u);
   EXPECT_EQ(32 * camps.overhead_bits() / 8, 3840u);  // 3.75 KB
 }
@@ -164,7 +162,7 @@ class ThresholdSweep : public ::testing::TestWithParam<u32> {};
 
 TEST_P(ThresholdSweep, FiresExactlyAtThreshold) {
   const u32 threshold = GetParam();
-  CampsScheme camps(params(threshold));
+  CampsScheme camps(kBanks, params(threshold));
   u32 count = 0;
   // First access opens the row; further accesses are hits.
   auto outcome = RowBufferOutcome::kEmpty;

@@ -7,21 +7,22 @@ namespace camps::prefetch {
 namespace {
 
 PrefetchBufferConfig small_cfg(u32 entries = 4) {
-  return PrefetchBufferConfig{
-      .entries = entries, .lines_per_row = 16, .hit_latency = 22};
+  return PrefetchBufferConfig{.entries = entries, .hit_latency = 22};
 }
+
+constexpr u32 kLinesPerRow = 16;  // 1 KB row / 64 B lines
 
 BankRow row(u32 bank, u64 r) { return BankRow{bank, r}; }
 
 TEST(PrefetchBuffer, StartsEmpty) {
-  PrefetchBuffer buf(small_cfg(), make_lru());
+  PrefetchBuffer buf(small_cfg(), kLinesPerRow, make_lru());
   EXPECT_EQ(buf.size(), 0u);
   EXPECT_EQ(buf.capacity(), 4u);
   EXPECT_FALSE(buf.contains(row(0, 1)));
 }
 
 TEST(PrefetchBuffer, InsertMakesResident) {
-  PrefetchBuffer buf(small_cfg(), make_lru());
+  PrefetchBuffer buf(small_cfg(), kLinesPerRow, make_lru());
   const auto result = buf.insert(row(0, 1));
   EXPECT_TRUE(result.inserted);
   EXPECT_FALSE(result.victim.has_value());
@@ -31,7 +32,7 @@ TEST(PrefetchBuffer, InsertMakesResident) {
 }
 
 TEST(PrefetchBuffer, ReinsertResidentIsNoOp) {
-  PrefetchBuffer buf(small_cfg(), make_lru());
+  PrefetchBuffer buf(small_cfg(), kLinesPerRow, make_lru());
   buf.insert(row(0, 1));
   const auto result = buf.insert(row(0, 1));
   EXPECT_FALSE(result.inserted);
@@ -40,14 +41,14 @@ TEST(PrefetchBuffer, ReinsertResidentIsNoOp) {
 }
 
 TEST(PrefetchBuffer, DistinguishesBankAndRow) {
-  PrefetchBuffer buf(small_cfg(), make_lru());
+  PrefetchBuffer buf(small_cfg(), kLinesPerRow, make_lru());
   buf.insert(row(0, 1));
   EXPECT_FALSE(buf.contains(row(1, 1)));
   EXPECT_FALSE(buf.contains(row(0, 2)));
 }
 
 TEST(PrefetchBuffer, AccessHitMarksLineAndCountsUtilization) {
-  PrefetchBuffer buf(small_cfg(), make_lru());
+  PrefetchBuffer buf(small_cfg(), kLinesPerRow, make_lru());
   buf.insert(row(0, 1));
   EXPECT_TRUE(buf.access(row(0, 1), 3, AccessType::kRead));
   EXPECT_TRUE(buf.access(row(0, 1), 3, AccessType::kRead));  // same line
@@ -57,14 +58,14 @@ TEST(PrefetchBuffer, AccessHitMarksLineAndCountsUtilization) {
 }
 
 TEST(PrefetchBuffer, AccessMissCounts) {
-  PrefetchBuffer buf(small_cfg(), make_lru());
+  PrefetchBuffer buf(small_cfg(), kLinesPerRow, make_lru());
   EXPECT_FALSE(buf.access(row(0, 9), 0, AccessType::kRead));
   buf.count_miss();
   EXPECT_EQ(buf.misses(), 2u);
 }
 
 TEST(PrefetchBuffer, RecencyStackPaperEncoding) {
-  PrefetchBuffer buf(small_cfg(4), make_lru());
+  PrefetchBuffer buf(small_cfg(4), kLinesPerRow, make_lru());
   buf.insert(row(0, 1));
   buf.insert(row(0, 2));
   buf.insert(row(0, 3));
@@ -80,7 +81,7 @@ TEST(PrefetchBuffer, RecencyStackPaperEncoding) {
 }
 
 TEST(PrefetchBuffer, LruEvictionOrder) {
-  PrefetchBuffer buf(small_cfg(2), make_lru());
+  PrefetchBuffer buf(small_cfg(2), kLinesPerRow, make_lru());
   buf.insert(row(0, 1));
   buf.insert(row(0, 2));
   const auto result = buf.insert(row(0, 3));
@@ -92,7 +93,7 @@ TEST(PrefetchBuffer, LruEvictionOrder) {
 }
 
 TEST(PrefetchBuffer, VictimReportsUsefulness) {
-  PrefetchBuffer buf(small_cfg(1), make_lru());
+  PrefetchBuffer buf(small_cfg(1), kLinesPerRow, make_lru());
   buf.insert(row(0, 1));
   buf.access(row(0, 1), 0, AccessType::kRead);
   auto v1 = buf.insert(row(0, 2));
@@ -106,7 +107,7 @@ TEST(PrefetchBuffer, VictimReportsUsefulness) {
 }
 
 TEST(PrefetchBuffer, FillTouchDoesNotCountAsUseful) {
-  PrefetchBuffer buf(small_cfg(1), make_lru());
+  PrefetchBuffer buf(small_cfg(1), kLinesPerRow, make_lru());
   buf.insert(row(0, 1));
   buf.access(row(0, 1), 0, AccessType::kRead, /*fill_touch=*/true);
   const auto v = buf.insert(row(0, 2));
@@ -116,7 +117,7 @@ TEST(PrefetchBuffer, FillTouchDoesNotCountAsUseful) {
 }
 
 TEST(PrefetchBuffer, DirtyTracking) {
-  PrefetchBuffer buf(small_cfg(1), make_lru());
+  PrefetchBuffer buf(small_cfg(1), kLinesPerRow, make_lru());
   buf.insert(row(0, 1));
   buf.access(row(0, 1), 2, AccessType::kWrite);
   const auto v = buf.insert(row(0, 2));
@@ -126,7 +127,7 @@ TEST(PrefetchBuffer, DirtyTracking) {
 }
 
 TEST(PrefetchBuffer, CleanVictimNoWriteback) {
-  PrefetchBuffer buf(small_cfg(1), make_lru());
+  PrefetchBuffer buf(small_cfg(1), kLinesPerRow, make_lru());
   buf.insert(row(0, 1));
   buf.access(row(0, 1), 2, AccessType::kRead);
   const auto v = buf.insert(row(0, 2));
@@ -136,7 +137,7 @@ TEST(PrefetchBuffer, CleanVictimNoWriteback) {
 }
 
 TEST(PrefetchBuffer, SeedBitmapCountsForFullTransferOnly) {
-  PrefetchBuffer buf(small_cfg(2), make_utilization_recency());
+  PrefetchBuffer buf(small_cfg(2), kLinesPerRow, make_utilization_recency());
   // Row 1: 12 lines seeded + 4 accessed = fully transferred.
   buf.insert(row(0, 1), /*seed_bitmap=*/0x0FFF);
   for (LineId line = 12; line < 16; ++line) {
@@ -154,7 +155,7 @@ TEST(PrefetchBuffer, SeedBitmapCountsForFullTransferOnly) {
 }
 
 TEST(PrefetchBuffer, UtilRecencyEvictsMinimumSum) {
-  PrefetchBuffer buf(small_cfg(3), make_utilization_recency());
+  PrefetchBuffer buf(small_cfg(3), kLinesPerRow, make_utilization_recency());
   buf.insert(row(0, 1));
   buf.insert(row(0, 2));
   buf.insert(row(0, 3));
@@ -170,7 +171,7 @@ TEST(PrefetchBuffer, UtilRecencyEvictsMinimumSum) {
 }
 
 TEST(PrefetchBuffer, EvictExplicit) {
-  PrefetchBuffer buf(small_cfg(), make_lru());
+  PrefetchBuffer buf(small_cfg(), kLinesPerRow, make_lru());
   buf.insert(row(0, 1));
   EXPECT_TRUE(buf.evict(row(0, 1)));
   EXPECT_FALSE(buf.contains(row(0, 1)));
@@ -179,7 +180,7 @@ TEST(PrefetchBuffer, EvictExplicit) {
 }
 
 TEST(PrefetchBuffer, RowAccuracyMixesResidentAndEvicted) {
-  PrefetchBuffer buf(small_cfg(2), make_lru());
+  PrefetchBuffer buf(small_cfg(2), kLinesPerRow, make_lru());
   buf.insert(row(0, 1));
   buf.access(row(0, 1), 0, AccessType::kRead);  // useful resident
   buf.insert(row(0, 2));                        // unused resident
@@ -190,7 +191,7 @@ TEST(PrefetchBuffer, RowAccuracyMixesResidentAndEvicted) {
 }
 
 TEST(PrefetchBuffer, EvictionHistograms) {
-  PrefetchBuffer buf(small_cfg(1), make_lru());
+  PrefetchBuffer buf(small_cfg(1), kLinesPerRow, make_lru());
   buf.insert(row(0, 1));
   buf.access(row(0, 1), 0, AccessType::kRead);
   buf.access(row(0, 1), 1, AccessType::kRead);
@@ -203,7 +204,7 @@ TEST(PrefetchBuffer, EvictionHistograms) {
 }
 
 TEST(PrefetchBuffer, ResetStatsKeepsContents) {
-  PrefetchBuffer buf(small_cfg(), make_lru());
+  PrefetchBuffer buf(small_cfg(), kLinesPerRow, make_lru());
   buf.insert(row(0, 1));
   buf.access(row(0, 1), 0, AccessType::kRead);
   buf.reset_stats();
@@ -214,9 +215,8 @@ TEST(PrefetchBuffer, ResetStatsKeepsContents) {
 
 TEST(PrefetchBuffer, TableIConfiguration) {
   const PrefetchBufferConfig cfg;  // defaults = Table I
-  EXPECT_EQ(cfg.entries, 16u);        // 16 KB / 1 KB rows
-  EXPECT_EQ(cfg.lines_per_row, 16u);  // 1 KB / 64 B
-  EXPECT_EQ(cfg.hit_latency, 22u);    // cycles
+  EXPECT_EQ(cfg.entries, 16u);      // 16 KB / 1 KB rows
+  EXPECT_EQ(cfg.hit_latency, 22u);  // cycles
 }
 
 // Property: under any policy, size never exceeds capacity and contains()
@@ -225,7 +225,7 @@ class BufferChurnSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(BufferChurnSweep, CapacityInvariant) {
   auto policy = GetParam() == 0 ? make_lru() : make_utilization_recency();
-  PrefetchBuffer buf(small_cfg(8), std::move(policy));
+  PrefetchBuffer buf(small_cfg(8), kLinesPerRow, std::move(policy));
   u64 x = 7;
   u64 resident_checks = 0;
   for (int i = 0; i < 5000; ++i) {

@@ -10,6 +10,8 @@
 namespace camps::prefetch {
 namespace {
 
+constexpr u32 kBanks = 16;  // Table I
+
 AccessContext ctx(dram::RowBufferOutcome outcome, u32 queued_same_row = 0,
                   BankId bank = 0, RowId row = 10) {
   AccessContext c;
@@ -163,7 +165,7 @@ TEST(Factory, NamesRoundTrip) {
         SchemeKind::kMmd, SchemeKind::kCamps, SchemeKind::kCampsMod,
         SchemeKind::kStream}) {
     EXPECT_EQ(scheme_from_string(to_string(kind)), kind);
-    EXPECT_EQ(make_scheme(kind)->name(), to_string(kind));
+    EXPECT_EQ(make_scheme(kind, kBanks)->name(), to_string(kind));
   }
 }
 
@@ -178,12 +180,13 @@ TEST(Factory, UnknownNameThrows) {
 
 TEST(Factory, ReplacementPolicyPairing) {
   // Section 5 fixes LRU everywhere except CAMPS-MOD.
-  EXPECT_EQ(make_scheme(SchemeKind::kBase)->make_replacement()->name(), "lru");
-  EXPECT_EQ(make_scheme(SchemeKind::kMmd)->make_replacement()->name(), "lru");
-  EXPECT_EQ(make_scheme(SchemeKind::kCamps)->make_replacement()->name(),
-            "lru");
-  EXPECT_EQ(make_scheme(SchemeKind::kCampsMod)->make_replacement()->name(),
-            "util-recency");
+  auto policy = [](SchemeKind kind) {
+    return make_scheme(kind, kBanks)->make_replacement()->name();
+  };
+  EXPECT_EQ(policy(SchemeKind::kBase), "lru");
+  EXPECT_EQ(policy(SchemeKind::kMmd), "lru");
+  EXPECT_EQ(policy(SchemeKind::kCamps), "lru");
+  EXPECT_EQ(policy(SchemeKind::kCampsMod), "util-recency");
 }
 
 }  // namespace

@@ -22,16 +22,17 @@ AccessContext hit(BankId bank, RowId row) {
   return c;
 }
 
+constexpr u32 kBanks = 16;  // Table I
+
 StreamParams params(u32 confidence = 2, u32 degree = 2) {
   StreamParams p;
-  p.banks = 16;
   p.confidence_threshold = confidence;
   p.degree = degree;
   return p;
 }
 
 TEST(StreamScheme, NoPrefetchBeforeConfidence) {
-  StreamScheme s(params());
+  StreamScheme s(kBanks, params());
   EXPECT_FALSE(s.on_demand_access(miss(0, 10)).any());
   EXPECT_FALSE(s.on_demand_access(miss(0, 11)).any()) << "confidence 1 of 2";
   EXPECT_EQ(s.confidence(0), 1u);
@@ -39,7 +40,7 @@ TEST(StreamScheme, NoPrefetchBeforeConfidence) {
 }
 
 TEST(StreamScheme, AscendingStreamConfirmsAndPrefetchesAhead) {
-  StreamScheme s(params(2, 2));
+  StreamScheme s(kBanks, params(2, 2));
   s.on_demand_access(miss(0, 10));
   s.on_demand_access(miss(0, 11));
   const auto d = s.on_demand_access(miss(0, 12));
@@ -51,7 +52,7 @@ TEST(StreamScheme, AscendingStreamConfirmsAndPrefetchesAhead) {
 }
 
 TEST(StreamScheme, DescendingStreamDetected) {
-  StreamScheme s(params(2, 1));
+  StreamScheme s(kBanks, params(2, 1));
   s.on_demand_access(miss(0, 20));
   s.on_demand_access(miss(0, 19));
   const auto d = s.on_demand_access(miss(0, 18));
@@ -61,7 +62,7 @@ TEST(StreamScheme, DescendingStreamDetected) {
 }
 
 TEST(StreamScheme, DescendingStreamStopsAtRowZero) {
-  StreamScheme s(params(1, 4));
+  StreamScheme s(kBanks, params(1, 4));
   s.on_demand_access(miss(0, 2));
   const auto d = s.on_demand_access(miss(0, 1));
   ASSERT_EQ(d.extra_rows.size(), 1u) << "row -1 and below must not appear";
@@ -69,7 +70,7 @@ TEST(StreamScheme, DescendingStreamStopsAtRowZero) {
 }
 
 TEST(StreamScheme, JumpResetsDetector) {
-  StreamScheme s(params(2, 2));
+  StreamScheme s(kBanks, params(2, 2));
   s.on_demand_access(miss(0, 10));
   s.on_demand_access(miss(0, 11));
   s.on_demand_access(miss(0, 12));  // confirmed
@@ -79,7 +80,7 @@ TEST(StreamScheme, JumpResetsDetector) {
 }
 
 TEST(StreamScheme, DirectionReversalRestartsConfidence) {
-  StreamScheme s(params(2, 1));
+  StreamScheme s(kBanks, params(2, 1));
   s.on_demand_access(miss(0, 10));
   s.on_demand_access(miss(0, 11));
   s.on_demand_access(miss(0, 12));  // up-stream confirmed
@@ -89,7 +90,7 @@ TEST(StreamScheme, DirectionReversalRestartsConfidence) {
 }
 
 TEST(StreamScheme, RowHitsDoNotDisturbDetector) {
-  StreamScheme s(params(2, 1));
+  StreamScheme s(kBanks, params(2, 1));
   s.on_demand_access(miss(0, 10));
   s.on_demand_access(miss(0, 11));
   s.on_demand_access(hit(0, 11));
@@ -99,7 +100,7 @@ TEST(StreamScheme, RowHitsDoNotDisturbDetector) {
 }
 
 TEST(StreamScheme, BanksTrackIndependently) {
-  StreamScheme s(params(1, 1));
+  StreamScheme s(kBanks, params(1, 1));
   s.on_demand_access(miss(0, 10));
   s.on_demand_access(miss(1, 50));
   EXPECT_EQ(s.on_demand_access(miss(0, 11)).extra_rows.size(), 1u);
@@ -107,7 +108,7 @@ TEST(StreamScheme, BanksTrackIndependently) {
 }
 
 TEST(StreamScheme, NameAndDefaultReplacement) {
-  StreamScheme s(params());
+  StreamScheme s(kBanks, params());
   EXPECT_EQ(s.name(), "STREAM");
   EXPECT_EQ(s.make_replacement()->name(), "lru");
 }

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 #include <string>
 
+#include "check/audit.hpp"
+#include "system/system.hpp"
+
 namespace camps::system {
 namespace {
 
@@ -77,11 +80,39 @@ TEST(SystemConfig, OverridesKeepDefaultsWhenAbsent) {
   EXPECT_EQ(out.scheme, prefetch::SchemeKind::kCampsMod);
 }
 
-TEST(SystemConfig, BankOverrideKeepsVaultConsistent) {
-  auto cfg = ConfigFile::parse("hmc.banks = 8\n");
-  const SystemConfig out = apply_overrides(table1_config(), cfg);
-  EXPECT_EQ(out.hmc.geometry.banks_per_vault, 8u);
-  EXPECT_EQ(out.hmc.vault.banks, 8u);
+TEST(SystemConfig, BankOverrideShapesEveryVault) {
+  // hmc.banks sets the geometry, and every vault, RUT and stream detector
+  // is built from it. run() aborts on an audit violation; vault-bank-shape
+  // and (under CAMPS-MOD) rut-shape compare each vault with the geometry.
+  for (const char* scheme : {"CAMPS-MOD", "STREAM"}) {
+    const SystemConfig cfg = apply_overrides(
+        table1_config(),
+        ConfigFile::parse(std::string("hmc.banks = 8\n"
+                                      "audit_every = 2000\n"
+                                      "core.warmup = 2000\n"
+                                      "core.measure = 6000\n"
+                                      "scheme = ") +
+                          scheme + "\n"));
+    ASSERT_EQ(cfg.hmc.geometry.banks_per_vault, 8u);
+    const auto sys = make_workload_system(cfg, "MX1");
+    EXPECT_FALSE(sys->run().partial) << scheme;
+    check::AuditReporter rep;
+    sys->audit(rep);
+    EXPECT_TRUE(rep.clean()) << scheme << ": " << rep.report();
+  }
+}
+
+TEST(SystemConfig, Table1IniKeepsEveryDefault) {
+  // configs/table1.ini promises every key at its default: applied to
+  // camps_sim's starting config it must change nothing.
+  SystemConfig base = table1_config();
+  base.core.warmup_instructions = 100'000;
+  base.core.measure_instructions = 500'000;
+  const SystemConfig out = apply_overrides(
+      base, ConfigFile::load(CAMPS_SOURCE_DIR "/configs/table1.ini"));
+  EXPECT_EQ(out.scheme_params.mmd.max_degree,
+            base.scheme_params.mmd.max_degree);
+  EXPECT_TRUE(out == base);
 }
 
 TEST(SystemConfig, BadSchemeNameThrows) {

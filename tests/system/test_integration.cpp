@@ -98,7 +98,6 @@ TEST_P(ConfigSweep, RunsClean) {
   SystemConfig cfg = quick(prefetch::SchemeKind::kCampsMod, 15000);
   cfg.hmc.geometry.vaults = c.vaults;
   cfg.hmc.geometry.banks_per_vault = c.banks;
-  cfg.hmc.vault.banks = c.banks;
   cfg.hmc.num_links = c.links;
   cfg.hmc.vault.buffer.entries = c.buffer_entries;
   cfg.hmc.vault.page_policy = c.policy;
