@@ -12,12 +12,15 @@ check fails when either differs from the newest record: a change that moves
 the simulated work must append a record in the same commit.
 
 --append runs the bench at --jobs=1, times it on the wall clock and appends
-{label, events, reads, events_per_read, wall_s, host} to the record file.
+{label, events, reads, events_per_read, wall_s, peak_rss_mb, host} to the
+record file. peak_rss_mb is the bench's peak resident set size; like wall_s it
+is recorded, not checked.
 """
 
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -36,7 +39,9 @@ def run_fig5(bench, jobs):
             runs = json.load(f)["runs"]
     events = sum(r["results"]["events_executed"] for r in runs)
     reads = sum(r["results"]["memory_reads"] for r in runs)
-    return events, reads, wall
+    # The bench is this process's only child; Linux reports ru_maxrss in KiB.
+    rss_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    return events, reads, wall, rss_mb
 
 
 def main():
@@ -52,20 +57,21 @@ def main():
     records = doc["records"]
 
     if args.append:
-        events, reads, wall = run_fig5(args.bench, jobs=1)
+        events, reads, wall, rss_mb = run_fig5(args.bench, jobs=1)
         records.append({"label": args.append, "events": events,
                         "reads": reads,
                         "events_per_read": round(events / reads, 2),
-                        "wall_s": round(wall, 1), "host": args.host})
+                        "wall_s": round(wall, 1),
+                        "peak_rss_mb": round(rss_mb, 1), "host": args.host})
         with open(args.record, "w") as f:
             json.dump(doc, f, indent=2)
             f.write("\n")
         print(f"appended '{args.append}': {events} events, {reads} reads, "
-              f"{wall:.1f} s")
+              f"{wall:.1f} s, {rss_mb:.1f} MB peak RSS")
         return 0
 
     newest = records[-1]
-    events, reads, _ = run_fig5(args.bench, jobs=2)
+    events, reads, _, _ = run_fig5(args.bench, jobs=2)
     print(f"fig5 --quick: {events} events, {reads} reads "
           f"({events / reads:.2f} per read); newest record "
           f"'{newest['label']}': {newest['events']} events, "

@@ -125,24 +125,24 @@ void hmc::VaultController::audit(check::AuditReporter& rep) const {
   }
   // During a refresh drain refresh_step closes banks in index order and
   // waits on the first bank that is not precharged: an open (or opening)
-  // bank until its PRE gate, a precharging one until its tRP ends. With no
-  // such bank the REF launches on the next edge. The wake must come by then.
+  // bank until its PRE gate, a precharging one until its tRP ends, after
+  // which it moves on to the next bank. The drain next acts at the first
+  // open bank's PRE gate, or launches the REF once no bank is left. The
+  // wake must come by then. (A precharging bank's tRP end is not itself a
+  // step: the wake may stop there, but need not.)
   if (refresh_draining_) {
-    const u64 edge = edge_cycle(sim_.now());
-    u64 step = edge;
+    u64 step = edge_cycle(sim_.now());
     std::string blocker = "no bank";
     for (size_t b = 0; b < banks_.size(); ++b) {
-      const dram::BankState s = banks_[b].state(edge);
-      if (s == dram::BankState::kActive ||
-          s == dram::BankState::kActivating) {
-        step = banks_[b].earliest_precharge(edge);
-      } else if (s == dram::BankState::kPrecharging) {
-        step = banks_[b].earliest_activate(edge);
-      } else {
-        continue;
+      const dram::BankState s = banks_[b].state(step);
+      if (s == dram::BankState::kPrecharging) {
+        step = banks_[b].earliest_activate(step);
+      } else if (s == dram::BankState::kActive ||
+                 s == dram::BankState::kActivating) {
+        step = banks_[b].earliest_precharge(step);
+        blocker = "bank " + std::to_string(b);
+        break;
       }
-      blocker = "bank " + std::to_string(b);
-      break;
     }
     rep.expect(queue.pending(wake_) && queue.time_of(wake_) <= tick_of(step),
                "vault-wake-pending",

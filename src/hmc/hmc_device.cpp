@@ -121,6 +121,10 @@ void HmcDevice::note_vault_fault(VaultId vault) {
   fault_plan_->count_degrade_flush();
 }
 
+void HmcDevice::set_drain_hook(const VaultController::DrainHook& hook) {
+  for (auto& v : vaults_) v->set_drain_hook(hook);
+}
+
 void HmcDevice::reset_stats() {
   for (auto& v : vaults_) v->reset_stats();
   h_lat_host_queue_.reset();

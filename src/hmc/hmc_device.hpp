@@ -95,6 +95,9 @@ class HmcDevice {
   /// Audits every vault controller (each under its own "vaultN" scope).
   void audit(check::AuditReporter& reporter) const;
 
+  /// Installs `hook` on every vault (VaultController::set_drain_hook).
+  void set_drain_hook(const VaultController::DrainHook& hook);
+
   /// Total serialization-busy ticks across all links, per direction.
   Tick link_busy_ticks_down() const;
   Tick link_busy_ticks_up() const;
@@ -104,6 +107,8 @@ class HmcDevice {
   u64 link_wakeups() const;
 
  private:
+  friend struct check::TestCorruptor;
+
   void on_vault_response(const MemRequest& request, VaultId vault,
                          Tick ready);
   /// Records one fault attributed to `vault`; triggers its degradation

@@ -233,6 +233,7 @@ u64 VaultController::next_action_cycle(u64 cycle) const {
 void VaultController::wake() {
   const u64 cycle = cycle_of(sim_.now());
   admit_ingress(cycle);
+  const bool was_draining = refresh_draining_;
   // Priority: refresh integrity, then demand data (row hits), then pending
   // row copies (so a CAMPS fetch+precharge lands before another demand
   // reopens the bank), then demand PRE/ACT progress.
@@ -257,6 +258,7 @@ void VaultController::wake() {
   }
   const u64 next = next_action_cycle(cycle);
   if (next != kTickNever) schedule_wake_at_cycle(next);
+  if (refresh_draining_ && !was_draining && drain_hook_) drain_hook_(*this);
 }
 
 bool VaultController::serve_from_buffer(const QueueEntry& entry, u64 cycle,

@@ -30,6 +30,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -73,6 +74,9 @@ class VaultController final {
   /// Called when a read's data is ready to leave the vault (the device
   /// adds crossbar + link delays on top of `ready`).
   using RespondFn = std::function<void(const MemRequest&, Tick ready)>;
+  /// Called at the end of a wake that began a refresh drain still under
+  /// way, after the vault has armed its next wake.
+  using DrainHook = std::function<void(const VaultController&)>;
 
   /// `geometry` sets the vault's shape: its bank count and the lines per
   /// row of its prefetch buffer. `scheme` must be built for the same bank
@@ -130,6 +134,9 @@ class VaultController final {
   /// CAMPS rules (an open row archived in the CT must have a demand or
   /// prefetch action pending — steady state forbids the overlap).
   void audit(check::AuditReporter& reporter) const;
+
+  /// Installs the hook run when a refresh drain begins (none by default).
+  void set_drain_hook(DrainHook hook) { drain_hook_ = std::move(hook); }
 
  private:
   friend struct check::TestCorruptor;
@@ -279,6 +286,7 @@ class VaultController final {
   /// This vault's one wake event: a late event keyed by the vault id, so
   /// moving it (cancel + schedule) leaves its place within a tick alone.
   sim::EventHandle wake_;
+  DrainHook drain_hook_;
   /// Rows inserted into the prefetch buffer, and the count at each demand
   /// queue's last buffer re-scan.
   u64 buffer_fills_ = 0;

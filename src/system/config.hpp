@@ -26,8 +26,9 @@ struct SystemConfig {
   u64 max_cycles = 400'000'000;
   /// Model self-audit interval: every N executed events the whole system
   /// (event queue, banks, RUT/CT, prefetch buffers, MSHRs, queues) is
-  /// checked against its invariants and the run aborts with a state dump on
-  /// any violation. 0 disables auditing (the default; audits cost time).
+  /// checked against its invariants, and so is each vault at the wake that
+  /// begins a refresh drain; the run aborts with a state dump on any
+  /// violation. 0 disables auditing (the default; audits cost time).
   u64 audit_every = 0;
 
   /// Pattern geometry consistent with the HMC address map, for workload

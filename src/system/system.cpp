@@ -77,6 +77,17 @@ System::System(const SystemConfig& config,
         [this](CoreId id) { on_core_warmed(id); },
         [this](CoreId id) { on_core_measured(id); }));
   }
+  if (cfg_.audit_every > 0) {
+    // A refresh drain lasts a few dozen of a vault's tREFI cycles, so a
+    // periodic audit rarely lands in one: each vault also audits itself
+    // when a drain begins.
+    host_->device().set_drain_hook([this](const hmc::VaultController& vault) {
+      check::AuditReporter rep;
+      rep.set_tick(sim_.now());
+      vault.audit(rep);
+      if (!rep.clean()) check::audit_fail(rep);
+    });
+  }
 }
 
 System::~System() = default;

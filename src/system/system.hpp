@@ -33,7 +33,8 @@ class System {
 
   /// Runs warmup + measurement and gathers results. Call once. When
   /// cfg_.audit_every > 0, audit() runs every that-many executed events and
-  /// once more at the end; any violation aborts via the CAMPS_ASSERT fail
+  /// once more at the end, and each vault audits itself at the wake that
+  /// begins a refresh drain; any violation aborts via the CAMPS_ASSERT fail
   /// path with a full state dump.
   RunResults run();
 

@@ -2,7 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <ostream>
+#include <string>
+#include <vector>
+
+#include "common/rng.hpp"
+
 namespace camps::cache {
+
+// ctest names a parameterised case after this print of its parameter; the
+// default byte dump would include CacheConfig's uninitialised padding.
+void PrintTo(const CacheConfig& c, std::ostream* os) {
+  *os << c.size_bytes / 1024 << " KiB " << c.ways << "-way";
+}
+
 namespace {
 
 CacheConfig tiny() {
@@ -195,6 +209,202 @@ TEST_P(WaySweep, SetCapacityRespected) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Ways, WaySweep, ::testing::Values(1, 2, 4, 8, 16));
+
+TEST(Cache, TagPastTheKeyWidthAborts) {
+  Cache c(CacheConfig{32 * 1024, 2, 64, 2});  // 256 sets: tag = addr >> 14
+  const Addr largest = ((Addr{1} << 31) - 2) << 14;  // the largest tag
+  c.fill(largest, true);
+  EXPECT_TRUE(c.probe(largest));
+  c.fill(Addr{256 * 64}, false);  // set 0, tag 1
+  const auto victim = c.fill(Addr{256 * 64} * 2, false);  // tag 2
+  ASSERT_TRUE(victim);
+  EXPECT_EQ(victim->line_addr, largest);
+  EXPECT_TRUE(victim->dirty);
+  const Addr past = Addr{1} << 45;  // tag 2^31
+  EXPECT_DEATH(c.probe(past), "address " + std::to_string(past));
+}
+
+// --- differential test: the packed tag store against a reference -------
+
+/// The tag store as an array of 16-byte lines, each with its own tag,
+/// stamp, valid and dirty bits: the behaviour Cache must keep, written
+/// plainly.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(const CacheConfig& cfg)
+      : cfg_(cfg), lines_(cfg.sets() * cfg.ways), clock_(cfg.sets()) {}
+
+  bool access(Addr addr, AccessType type) {
+    if (access_if_present(addr, type)) return true;
+    ++misses;
+    return false;
+  }
+  bool access_if_present(Addr addr, AccessType type) {
+    Line* line = find(addr);
+    if (line == nullptr) return false;
+    ++hits;
+    line->lru = ++clock_[set_of(addr)];
+    if (type == AccessType::kWrite) line->dirty = true;
+    return true;
+  }
+  bool probe(Addr addr) { return find(addr) != nullptr; }
+  std::optional<Victim> victim_of(Addr addr, std::optional<Addr> mru) {
+    if (find(addr) != nullptr) return std::nullopt;
+    const u64 set = set_of(addr);
+    const Line* keep = mru && set_of(*mru) == set ? find(*mru) : nullptr;
+    const Line& victim = *victim_in(set, keep);
+    if (!victim.valid) return std::nullopt;
+    return record(set, victim);
+  }
+  std::optional<Victim> fill(Addr addr, bool dirty) {
+    const u64 set = set_of(addr);
+    if (Line* present = find(addr)) {
+      present->dirty |= dirty;
+      present->lru = ++clock_[set];
+      return std::nullopt;
+    }
+    Line& victim = *victim_in(set, nullptr);
+    std::optional<Victim> out;
+    if (victim.valid) {
+      ++evictions;
+      if (victim.dirty) ++dirty_evictions;
+      out = record(set, victim);
+    }
+    victim = Line{.tag = tag_of(addr), .lru = ++clock_[set], .valid = true,
+                  .dirty = dirty};
+    return out;
+  }
+  std::optional<bool> invalidate(Addr addr) {
+    Line* line = find(addr);
+    if (line == nullptr) return std::nullopt;
+    const bool dirty = line->dirty;
+    *line = Line{};
+    return dirty;
+  }
+
+  u64 hits = 0, misses = 0, evictions = 0, dirty_evictions = 0;
+
+ private:
+  struct Line {
+    u64 tag = 0;
+    u32 lru = 0;
+    bool valid = false;
+    bool dirty = false;
+  };
+
+  u64 set_of(Addr addr) const { return addr / cfg_.line_bytes % cfg_.sets(); }
+  u64 tag_of(Addr addr) const { return addr / cfg_.line_bytes / cfg_.sets(); }
+  Line* find(Addr addr) {
+    Line* const ways = &lines_[set_of(addr) * cfg_.ways];
+    for (u32 w = 0; w < cfg_.ways; ++w) {
+      if (ways[w].valid && ways[w].tag == tag_of(addr)) return &ways[w];
+    }
+    return nullptr;
+  }
+  /// The first invalid way, else the least recently used one other than
+  /// `keep`, else `keep` itself.
+  Line* victim_in(u64 set, const Line* keep) {
+    Line* const ways = &lines_[set * cfg_.ways];
+    Line* victim = nullptr;
+    for (u32 w = 0; w < cfg_.ways; ++w) {
+      if (!ways[w].valid) return &ways[w];
+      if (&ways[w] == keep) continue;
+      if (victim == nullptr || ways[w].lru < victim->lru) victim = &ways[w];
+    }
+    return victim != nullptr ? victim : &ways[keep - ways];
+  }
+  Victim record(u64 set, const Line& line) const {
+    return Victim{.line_addr = (line.tag * cfg_.sets() + set) * cfg_.line_bytes,
+                  .dirty = line.dirty};
+  }
+
+  CacheConfig cfg_;
+  std::vector<Line> lines_;
+  std::vector<u32> clock_;
+};
+
+bool same(const std::optional<Victim>& a, const std::optional<Victim>& b) {
+  return a.has_value() == b.has_value() &&
+         (!a || (a->line_addr == b->line_addr && a->dirty == b->dirty));
+}
+
+class PackedTagStore : public ::testing::TestWithParam<CacheConfig> {};
+
+TEST_P(PackedTagStore, MatchesTheReferenceOverRandomOperations) {
+  const CacheConfig cfg = GetParam();
+  Cache cache(cfg);
+  ReferenceCache ref(cfg);
+  Rng rng(cfg.size_bytes * 31 + cfg.ways);
+  // Addresses fall in 24 sets, each with three times as many tags as it
+  // has ways, so sets fill, evict and hit again; one in eight tags sits
+  // at the top of the key's range.
+  const u64 sets = cfg.sets();
+  std::vector<u64> hot_sets;
+  for (int i = 0; i < 24; ++i) hot_sets.push_back(rng.next_below(sets));
+  const u64 top_tag = (u64{1} << 31) - 2;
+  auto address = [&] {
+    const u64 set = hot_sets[rng.next_below(hot_sets.size())];
+    const u64 tag = rng.next_below(8) == 0 ? top_tag - rng.next_below(4)
+                                           : rng.next_below(3 * cfg.ways);
+    return (tag * sets + set) * cfg.line_bytes +
+           rng.next_below(cfg.line_bytes);
+  };
+  for (int op = 0; op < 200'000; ++op) {
+    const Addr addr = address();
+    const AccessType type =
+        rng.next_below(2) == 0 ? AccessType::kRead : AccessType::kWrite;
+    switch (rng.next_below(7)) {
+      case 0:
+        ASSERT_EQ(cache.access(addr, type), ref.access(addr, type)) << op;
+        break;
+      case 1:
+        ASSERT_EQ(cache.access_if_present(addr, type),
+                  ref.access_if_present(addr, type))
+            << op;
+        break;
+      case 2:
+        ASSERT_EQ(cache.probe(addr), ref.probe(addr)) << op;
+        break;
+      case 3:
+      case 4: {
+        const bool dirty = type == AccessType::kWrite;
+        ASSERT_TRUE(same(cache.fill(addr, dirty), ref.fill(addr, dirty)))
+            << op;
+        break;
+      }
+      case 5: {
+        // A kept line in the same set must be present.
+        std::optional<Addr> mru;
+        if (rng.next_below(2) == 0) {
+          mru = address();
+          if (cache.set_index(*mru) == cache.set_index(addr) &&
+              !ref.probe(*mru)) {
+            mru.reset();
+          }
+        }
+        ASSERT_TRUE(same(cache.victim_of(addr, mru), ref.victim_of(addr, mru)))
+            << op;
+        break;
+      }
+      default:
+        ASSERT_EQ(cache.invalidate(addr), ref.invalidate(addr)) << op;
+        break;
+    }
+    ASSERT_EQ(cache.hits(), ref.hits) << op;
+    ASSERT_EQ(cache.misses(), ref.misses) << op;
+    ASSERT_EQ(cache.evictions(), ref.evictions) << op;
+    ASSERT_EQ(cache.dirty_evictions(), ref.dirty_evictions) << op;
+  }
+  EXPECT_GT(cache.hits(), 10'000u);
+  EXPECT_GT(cache.dirty_evictions(), 1'000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, PackedTagStore,
+    ::testing::Values(CacheConfig{32 * 1024, 2, 64, 2},
+                      CacheConfig{256 * 1024, 4, 64, 6},
+                      CacheConfig{16 * 1024 * 1024, 16, 64, 20},
+                      CacheConfig{4 * 1024, 1, 64, 1}));
 
 }  // namespace
 }  // namespace camps::cache

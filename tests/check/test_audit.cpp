@@ -7,15 +7,18 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "cache/cache.hpp"
 #include "cache/hierarchy.hpp"
 #include "cache/mshr.hpp"
 #include "check/audit.hpp"
 #include "cpu/core.hpp"
 #include "dram/bank.hpp"
+#include "hmc/hmc_device.hpp"
 #include "hmc/vault_controller.hpp"
 #include "prefetch/conflict_table.hpp"
 #include "prefetch/factory.hpp"
@@ -76,6 +79,33 @@ struct TestCorruptor {
   static bool refresh_draining(const hmc::VaultController& vault) {
     return vault.refresh_draining_;
   }
+  /// Makes the first refresh drain to begin in `device` postpone its
+  /// vault's wake by `delay`, just before the drain-start hook runs.
+  static void postpone_first_drain_wake(sim::Simulator& sim,
+                                        hmc::HmcDevice& device, Tick delay) {
+    auto armed = std::make_shared<bool>(true);
+    for (auto& vault : device.vaults_) {
+      hmc::VaultController& v = *vault;
+      auto audit = std::move(v.drain_hook_);
+      v.drain_hook_ = [=, &sim, &v](const hmc::VaultController& self) {
+        if (*armed) {
+          *armed = false;
+          postpone_vault_wake(sim, v, sim.queue().time_of(v.wake_) + delay);
+        }
+        if (audit) audit(self);
+      };
+    }
+  }
+  /// Copies the key of way 0 of `set` into way 1.
+  static void duplicate_cache_key(cache::Cache& cache, u64 set) {
+    const size_t first = cache.first_way(set);
+    cache.keys_[first + 1] = cache.keys_[first];
+  }
+  /// Stamps way 1 of `set` one past its set's LRU clock.
+  static void stamp_past_clock(cache::Cache& cache, u64 set) {
+    cache.stamps_[cache.first_way(set) + 1] = cache.lru_clock_[set] + 1;
+  }
+  static cache::Cache& l3(cache::CacheHierarchy& caches) { return caches.l3_; }
   static void cross_rut_ct(prefetch::CampsScheme& scheme, BankId bank,
                            RowId row) {
     scheme.ct_.insert(BankRow{bank, row});
@@ -505,6 +535,48 @@ TEST(CorruptionAudit, L2HitRanAheadIntoASetWithAPendingFill) {
   EXPECT_TRUE(reports(rep, "core-ahead-fill")) << rep.report();
 }
 
+TEST(CorruptionAudit, CacheTagValidInTwoWays) {
+  // Planted in the L3 of a hierarchy, so the hierarchy's audit must reach
+  // its tag store.
+  sim::Simulator sim;
+  SlowMemory memory(sim);
+  cache::HierarchyConfig caches_cfg;
+  caches_cfg.l1 = cache::CacheConfig{1024, 2, 64, 2};
+  caches_cfg.l2 = cache::CacheConfig{4096, 4, 64, 6};
+  caches_cfg.l3 = cache::CacheConfig{16384, 4, 64, 20};
+  cache::CacheHierarchy caches(sim, caches_cfg, 1, &memory);
+  caches.read(0, 0x100000, nullptr);
+  caches.read(0, 0x101000, nullptr);  // same L3 set, 64 sets apart
+  sim.run();
+  {
+    AuditReporter rep;
+    caches.audit(rep);
+    EXPECT_TRUE(rep.clean()) << rep.report();
+  }
+  const u64 set = caches.l3().set_index(0x100000);
+  TestCorruptor::duplicate_cache_key(TestCorruptor::l3(caches), set);
+  AuditReporter rep;
+  caches.audit(rep);
+  ASSERT_TRUE(reports(rep, "cache-tag-duplicate")) << rep.report();
+  EXPECT_EQ(rep.violations()[0].component, "cache.l3");
+}
+
+TEST(CorruptionAudit, CacheStampPastItsSetClock) {
+  cache::Cache c(cache::CacheConfig{1024, 2, 64, 2});  // 8 sets x 2 ways
+  c.fill(0x40, false);
+  c.fill(0x240, true);  // set 1's second way
+  {
+    AuditReporter rep;
+    c.audit(rep);
+    EXPECT_TRUE(rep.clean()) << rep.report();
+    EXPECT_GT(rep.checks_run(), 0u);
+  }
+  TestCorruptor::stamp_past_clock(c, 1);
+  AuditReporter rep;
+  c.audit(rep);
+  EXPECT_TRUE(reports(rep, "cache-lru-stamp")) << rep.report();
+}
+
 TEST(CorruptionAudit, RowProfiledInRutAndArchivedInCt) {
   prefetch::CampsScheme scheme(kBanks);
   prefetch::AccessContext ctx;
@@ -535,6 +607,33 @@ TEST(SystemAudit, PeriodicAuditsRunCleanOverAWorkload) {
   EXPECT_TRUE(rep.clean()) << rep.report();
   // The whole tree reported in: event queue, caches, and all 32 vaults.
   EXPECT_GT(rep.checks_run(), 1000u);
+}
+
+system::SystemConfig drain_audit_config(u64 audit_every) {
+  system::SystemConfig cfg =
+      system::table1_config(prefetch::SchemeKind::kCampsMod);
+  cfg.core.warmup_instructions = 2'000;
+  cfg.core.measure_instructions = 20'000;
+  cfg.audit_every = audit_every;
+  return cfg;
+}
+
+TEST(SystemAudit, DrainStartAuditCatchesAWakePastTheBlockingBank) {
+  // The periodic audit never fires in a run this short, and the postponed
+  // wake has long fired by the closing audit: only the audit at the start
+  // of the drain sees that the vault would sleep past its blocking bank.
+  const Tick delay = 100 * sim::kDramTicksPerCycle;
+  {
+    auto sys = system::make_workload_system(drain_audit_config(0), "HM1");
+    TestCorruptor::postpone_first_drain_wake(sys->simulator(),
+                                             sys->memory().device(), delay);
+    EXPECT_FALSE(sys->run().partial) << "without audits the run completes";
+  }
+  const u64 never = u64{1} << 40;  // far past the run's event count
+  auto sys = system::make_workload_system(drain_audit_config(never), "HM1");
+  TestCorruptor::postpone_first_drain_wake(sys->simulator(),
+                                           sys->memory().device(), delay);
+  EXPECT_DEATH(sys->run(), "vault-wake-pending");
 }
 
 }  // namespace

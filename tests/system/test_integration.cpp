@@ -83,13 +83,18 @@ TEST(Integration, ClosedPagePolicyKillsConflicts) {
 // Robustness sweep: off-default geometries and sizes must simulate cleanly
 // (no asserts, no deadlocks, sane results), since every ablation bench
 // depends on them.
+// ctest names each case after gtest's byte dump of this struct, so it has
+// no padding: zeroed bytes stand where the compiler would leave
+// uninitialised ones, and the names are the same on every build.
 struct ConfigCase {
   u32 vaults;
   u32 banks;
   u32 links;
   u32 buffer_entries;
   hmc::PagePolicy policy;
+  u8 zero[3] = {};
 };
+static_assert(sizeof(ConfigCase) == 20, "no padding in the case names");
 
 class ConfigSweep : public ::testing::TestWithParam<ConfigCase> {};
 
