@@ -6,7 +6,8 @@ Usage:
                            [--keep-exports DIR]
     scripts/check_exact.py BUILD_DIR --update LABEL [--jobs N]
 
-BUILD_DIR holds bench/bench_* and tools/camps_sim (a CMake build directory).
+BUILD_DIR holds bench/bench_*, tools/camps_sim and tests/test_system (a CMake
+build directory).
 Each LABEL of EXACT.json names a scale and a seed: quick-seed1..3 run the 16
 sweep benches at --quick, fig5-seed1 runs bench_fig5_speedup at its default
 scale. For every bench the script hashes its stdout, and for every run in its
@@ -14,7 +15,11 @@ scale. For every bench the script hashes its stdout, and for every run in its
 `events_by_source` (the two fields that count simulator work, not simulated
 behaviour). The camps-sim label covers what no bench exports: camps_sim's
 HM1 fault campaign (stdout, `results` as above, and the statistics registry)
-and its MX1 epoch CSV and JSON. --keep-exports DIR writes those exports to
+and its MX1 epoch CSV and JSON. The golden label holds the golden-results
+test's FNV-1a hash of every Table II mix under the five paper schemes and of
+the HM1 fault campaign (tests/system/test_golden_results.cpp, which reads the
+label itself and fails on any moved hash); the script runs that test and
+reads the `golden-digests` line it prints. --keep-exports DIR writes those exports to
 DIR as RUN_EXPORT.EXT (hm1_faults_stats.json, mx1_epochs_epoch.csv,
 mx1_epochs_epoch.json), so the CI checks their structure with
 check_obs_exports.py without running camps_sim again. The check fails if
@@ -29,7 +34,8 @@ so almost never evicts a dirty line; no write queue comes near
 write_drain_high (24). fig5-seed1 does drain writes; run it (about 1.5 min
 at --jobs=2) for any vault change.
 
---update LABEL (or `all`) rewrites the digests of that label in EXACT.json.
+--update LABEL (or `all`) rewrites the digests of that label in EXACT.json,
+the golden label included: no digest is pasted by hand.
 """
 
 import argparse
@@ -69,7 +75,11 @@ CAMPS_SIM_RUNS = {
                     "--measure=20000"],
                    ["--epoch-csv", "--epoch-json"]),
 }
-ALL_LABELS = sorted(LABELS) + [CAMPS_SIM_LABEL]
+# The golden-results test, run alone; it prints its hashes on one line.
+GOLDEN_LABEL = "golden"
+GOLDEN_TEST = ("test_system", "GoldenResults.*")
+GOLDEN_PREFIX = "golden-digests "
+ALL_LABELS = sorted(LABELS) + [CAMPS_SIM_LABEL, GOLDEN_LABEL]
 
 # Fields of `results` that count simulator events rather than model output.
 WORK_FIELDS = ("events_executed", "events_by_source")
@@ -140,8 +150,26 @@ def run_camps_sim(build, run_name, flags, exports, keep):
     return {"stdout": digest(out), "runs": hashed}
 
 
+def run_golden(build):
+    """Returns {test binary: {"runs": {run name: digest}}}. The test's exit
+    status is not checked: on a moved hash it fails, and compare() (or
+    --update) still needs the hashes it printed."""
+    binary, test_filter = GOLDEN_TEST
+    path = os.path.join(build, "tests", binary)
+    proc = subprocess.run([path, f"--gtest_filter={test_filter}"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for line in proc.stdout.decode(errors="replace").splitlines():
+        if line.startswith(GOLDEN_PREFIX):
+            return {binary: {"runs": json.loads(line[len(GOLDEN_PREFIX):])}}
+    sys.stderr.write(proc.stdout.decode(errors="replace"))
+    raise SystemExit(f"check_exact: {binary} printed no {GOLDEN_PREFIX}line")
+
+
 def run_label(build, label, jobs, keep=None):
     out = {}
+    if label == GOLDEN_LABEL:
+        print(f"  {label}: {GOLDEN_TEST[1]}", file=sys.stderr, flush=True)
+        return run_golden(build)
     if label == CAMPS_SIM_LABEL:
         for name, (flags, exports) in CAMPS_SIM_RUNS.items():
             print(f"  {label}: {name}", file=sys.stderr, flush=True)
@@ -162,7 +190,7 @@ def compare(label, want, got):
             bad.append(f"{label}/{bench}: bench missing on one side")
             continue
         w, g = want[bench], got[bench]
-        if w["stdout"] != g["stdout"]:
+        if w.get("stdout") != g.get("stdout"):
             bad.append(f"{label}/{bench}: stdout differs")
         for run in sorted(set(w["runs"]) | set(g["runs"])):
             if w["runs"].get(run) != g["runs"].get(run):
@@ -198,7 +226,8 @@ def main():
             "Digests checked by scripts/check_exact.py: per label, each "
             "sweep bench's stdout and each run's --stats-json results "
             "(without events_executed and events_by_source); for camps-sim, "
-            "each camps_sim run's stdout and exports.")
+            "each camps_sim run's stdout and exports; for golden, the "
+            "golden-results test's FNV-1a hash of each run.")
         with open(args.exact, "w") as f:
             json.dump(doc, f, indent=1, sort_keys=True)
             f.write("\n")

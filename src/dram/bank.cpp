@@ -158,7 +158,6 @@ void Bank::refresh(u64 cycle) {
   CAMPS_ASSERT(cycle >= ready_at_ || raw_state_ == BankState::kPrecharged);
   raw_state_ = BankState::kRefreshing;
   ready_at_ = cycle + t_->tRFC;
-  ++n_ref_;
 }
 
 }  // namespace camps::dram

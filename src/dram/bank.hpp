@@ -75,7 +75,6 @@ class Bank final {
   u64 read_count() const { return n_rd_; }
   u64 write_count() const { return n_wr_; }
   u64 row_fetch_count() const { return n_rowfetch_; }
-  u64 refresh_count() const { return n_ref_; }
 
   /// Invariants over the command-legality bookkeeping: the raw state is a
   /// legal enum value, transient states carry a consistent completion
@@ -109,8 +108,7 @@ class Bank final {
   u64 wr_pre_gate_ = 0;    ///< Earliest PRE due to writes (tWR).
   bool any_col_ = false;
 
-  u64 n_act_ = 0, n_pre_ = 0, n_rd_ = 0, n_wr_ = 0, n_rowfetch_ = 0,
-      n_ref_ = 0;
+  u64 n_act_ = 0, n_pre_ = 0, n_rd_ = 0, n_wr_ = 0, n_rowfetch_ = 0;
 
   void settle(u64 cycle);
   u64 column_issue_cycle(u64 cycle) const;

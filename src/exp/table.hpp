@@ -26,9 +26,6 @@ class Table {
   std::string to_json(int indent = 0) const;
 
   const std::vector<std::string>& headers() const { return headers_; }
-  const std::vector<std::vector<std::string>>& row_data() const {
-    return rows_;
-  }
 
   size_t rows() const { return rows_.size(); }
 

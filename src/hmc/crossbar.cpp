@@ -19,7 +19,6 @@ Crossbar::Routed Crossbar::route(Tick now, u32 port, u64 trace_id) {
     // The arbiter's grant was lost: the packet never traverses and the
     // output port's schedule is untouched. Recovery belongs to the
     // requester (host timeout path).
-    ++drops_;
     plan_->count_xbar_drop();
     return Routed{0, true};
   }

@@ -62,7 +62,6 @@ class Crossbar {
   }
 
   u64 packets_routed() const { return packets_; }
-  u64 grants_dropped() const { return drops_; }
   u32 ports() const { return static_cast<u32>(port_free_.size()); }
 
  private:
@@ -73,7 +72,6 @@ class Crossbar {
   u32 fault_unit_base_ = 0;
   std::vector<Tick> port_free_;
   u64 packets_ = 0;
-  u64 drops_ = 0;
 };
 
 }  // namespace camps::hmc

@@ -141,91 +141,23 @@ void VaultController::schedule_wake_at_cycle(u64 cycle) {
                                 [this] { wake(); }, sim::EventSource::kVault);
 }
 
-u64 VaultController::next_action_cycle(u64 cycle) const {
-  // The earliest cycle after `cycle` at which a wake could change anything,
-  // from the gates every scheduler phase tests; each cycle skipped before
-  // it would be a no-op wake (docs/simulation-model.md gives the argument).
-  // The state these gates read changes only at a wake that acts, at an
-  // arrival (the first edge at or after it is considered below) or at a
-  // row fill (complete_fetch arms its own tick).
+u64 VaultController::next_action_cycle(u64 cycle) {
+  // The earliest cycle after `cycle` at which a wake could change anything:
+  // each phase reports its own first actionable cycle, from the same gates
+  // it tests when it acts, so every cycle skipped before it would be a
+  // no-op wake (docs/simulation-model.md gives the argument). The state
+  // those gates read changes only at a wake that acts, at an arrival (the
+  // first edge at or after it is considered here) or at a row fill
+  // (complete_fetch arms its own tick).
   const u64 from = cycle + 1;
   if (ingress_arrived()) return from;
-  u64 next = kTickNever;
-  auto consider = [&next](u64 gate) { next = std::min(next, gate); };
-  if (!ingress_.empty()) consider(edge_cycle(ingress_.front().arrival));
-  if (refresh_draining_) {
-    // refresh_step issues nothing else until the REF launches: it closes
-    // banks in index order and waits on the first one not precharged, at
-    // that bank's PRE gate or the end of its tRP. Once every bank is
-    // precharged the REF launches at once.
-    u64 gate = from;
-    for (const dram::Bank& bank : banks_) {
-      if (bank.open_row(from)) {
-        gate = bank.earliest_precharge(from);
-        break;
-      }
-      if (bank.state(from) == dram::BankState::kPrecharging) {
-        gate = bank.earliest_activate(from);
-        break;
-      }
-    }
-    consider(gate);
-    return std::max(next, from);
-  }
-  // The drain mode has hysteresis, so a flip the queues call for must
-  // happen on the next cycle, as it would with a wake every cycle, before
-  // a later arrival can change the queues again. Without a pending flip
-  // the next wake serves the current mode's queue.
-  const bool drain = draining_writes_;
-  const std::deque<QueueEntry>& queue = drain ? wrq_ : rdq_;
-  const u64 scanned = drain ? wrq_scanned_fills_ : rdq_scanned_fills_;
-  if (next_drain_mode() != drain ||
-      (!queue.empty() && scanned != buffer_fills_)) {
-    return from;
-  }
-  if (cfg_.refresh_enabled) {
-    consider(std::max(refresh_.next_due(), refresh_.busy_until()));
-  }
-  const u64 act_gate = std::max(next_act_cycle_, act_window_[act_window_pos_]);
-  // First cycle at which a bank whose wanted row is not open could take its
-  // next command: PRE if another row is open, else ACT.
-  auto open_gate = [&](const dram::Bank& bank) {
-    return bank.open_row(cycle) ? bank.earliest_precharge(from)
-                                : std::max(bank.earliest_activate(from),
-                                           act_gate);
-  };
-
-  const auto& t = cfg_.timing;
-  u32 banks_seen = 0;
-  for (const QueueEntry& e : queue) {
-    const dram::Bank& bank = banks_[e.bank];
-    const u32 bank_bit = 1u << e.bank;
-    const bool oldest = (banks_seen & bank_bit) == 0;
-    banks_seen |= bank_bit;
-    if (bank.open_row(cycle) == std::make_optional(e.row)) {
-      const u64 lead = e.req.type == AccessType::kRead ? t.tCL : t.tWL;
-      consider(std::max(bank.earliest_column(from),
-                        bus_free_cycle_ - std::min(bus_free_cycle_, lead)));
-    } else if (oldest) {
-      consider(open_gate(bank));
-    }
-  }
-
-  for (const PfAction& action : actions_) {
-    const dram::Bank& bank = banks_[action.bank];
-    const bool row_open =
-        bank.open_row(cycle) == std::make_optional(action.row);
-    if (action.fetch_issued) {
-      consider(row_open ? std::max(action.fetch_done_cycle,
-                                   bank.earliest_precharge(from))
-                        : action.fetch_done_cycle);
-    } else if (buffer_.contains(BankRow{action.bank, action.row})) {
-      return from;  // dropped at the next wake
-    } else if (row_open) {
-      consider(bank.earliest_column(from));
-    } else {
-      consider(open_gate(bank));
-    }
+  u64 next =
+      ingress_.empty() ? kTickNever : edge_cycle(ingress_.front().arrival);
+  next = std::min(next, refresh_step(from, /*act=*/false));
+  if (!refresh_draining_) {
+    next = std::min({next, issue_demand_column(from, /*act=*/false),
+                     issue_prefetch(from, /*act=*/false),
+                     advance_demand_bank(from, /*act=*/false)});
   }
   return std::max(next, from);
 }
@@ -237,7 +169,7 @@ void VaultController::wake() {
   // Priority: refresh integrity, then demand data (row hits), then pending
   // row copies (so a CAMPS fetch+precharge lands before another demand
   // reopens the bank), then demand PRE/ACT progress.
-  bool used_slot = refresh_step(cycle);
+  bool used_slot = refresh_step(cycle, true) == cycle;
   // While draining for refresh, nothing else may issue — demand ACTs would
   // keep reopening banks and the drain would never converge.
   if (!refresh_draining_) {
@@ -251,14 +183,20 @@ void VaultController::wake() {
         break;
       }
     }
-    if (aged && !used_slot) used_slot = issue_prefetch(cycle);
-    if (!used_slot) used_slot = issue_demand_column(cycle);
-    if (!used_slot) used_slot = issue_prefetch(cycle);
-    if (!used_slot) advance_demand_bank(cycle);
+    if (aged && !used_slot) used_slot = issue_prefetch(cycle, true) == cycle;
+    if (!used_slot) used_slot = issue_demand_column(cycle, true) == cycle;
+    if (!used_slot) used_slot = issue_prefetch(cycle, true) == cycle;
+    if (!used_slot) advance_demand_bank(cycle, true);
   }
   const u64 next = next_action_cycle(cycle);
   if (next != kTickNever) schedule_wake_at_cycle(next);
   if (refresh_draining_ && !was_draining && drain_hook_) drain_hook_(*this);
+}
+
+u64 VaultController::open_gate(const dram::Bank& bank, u64 cycle) const {
+  if (bank.open_row(cycle)) return bank.earliest_precharge(cycle);
+  return std::max({bank.earliest_activate(cycle), next_act_cycle_,
+                   act_window_[act_window_pos_]});
 }
 
 bool VaultController::serve_from_buffer(const QueueEntry& entry, u64 cycle,
@@ -315,33 +253,37 @@ void VaultController::admit_ingress(u64 cycle) {
   }
 }
 
-bool VaultController::refresh_step(u64 cycle) {
-  if (!cfg_.refresh_enabled) return false;
-  if (!refresh_draining_ && refresh_.due(cycle) &&
-      !refresh_.in_progress(cycle)) {
+u64 VaultController::refresh_step(u64 cycle, bool act) {
+  if (!refresh_draining_) {
+    const u64 due =
+        std::max({cycle, refresh_.next_due(), refresh_.busy_until()});
+    if (due != cycle || !act) return due;
     refresh_draining_ = true;
   }
-  if (!refresh_draining_) return false;
-
-  // Close any open bank, one PRE per cycle.
+  // Close the banks in index order, one PRE per cycle, waiting on the first
+  // one not precharged: an open (or opening) bank until its PRE gate, a
+  // precharging one until its tRP ends.
   for (auto& bank : banks_) {
-    const dram::BankState s = bank.state(cycle);
-    if (s == dram::BankState::kActive || s == dram::BankState::kActivating) {
-      if (bank.earliest_precharge(cycle) == cycle) {
-        precharge(bank, cycle);
-        return true;
-      }
-      return false;  // must wait for this bank's timing
+    u64 gate;
+    if (bank.open_row(cycle)) {
+      gate = bank.earliest_precharge(cycle);
+    } else if (bank.state(cycle) == dram::BankState::kPrecharging) {
+      gate = bank.earliest_activate(cycle);
+    } else {
+      continue;
     }
-    if (s == dram::BankState::kPrecharging) return false;  // settle first
+    if (act && gate == cycle) precharge(bank, cycle);
+    return gate;
   }
 
   // All banks precharged: launch the all-bank refresh.
-  for (auto& bank : banks_) bank.refresh(cycle);
-  refresh_.start(cycle);
-  if (energy_ != nullptr) energy_->add(EnergyEvent::kRefresh);
-  refresh_draining_ = false;
-  return true;
+  if (act) {
+    for (auto& bank : banks_) bank.refresh(cycle);
+    refresh_.start(cycle);
+    if (energy_ != nullptr) energy_->add(EnergyEvent::kRefresh);
+    refresh_draining_ = false;
+  }
+  return cycle;
 }
 
 u32 VaultController::queued_same_row(const QueueEntry& entry) const {
@@ -484,16 +426,22 @@ void VaultController::serve_via_fetch(const QueueEntry& entry, u64 cycle,
   }
 }
 
-bool VaultController::issue_demand_column(u64 cycle) {
-  draining_writes_ = next_drain_mode();
-  auto& queue = draining_writes_ ? wrq_ : rdq_;
-  if (queue.empty()) return false;
+u64 VaultController::issue_demand_column(u64 cycle, bool act) {
+  // A drain-mode flip and a buffer re-scan have no timing gate: the next
+  // wake makes them.
+  const bool drain = next_drain_mode();
+  if (drain != draining_writes_) {
+    if (!act) return cycle;
+    draining_writes_ = drain;
+  }
+  auto& queue = drain ? wrq_ : rdq_;
 
   // Re-check the prefetch buffer, but only if a row landed since this
   // queue's last scan: entries enter the queue only after missing the
   // buffer (admit_ingress), so without a fill nothing new can hit.
-  u64& scanned = draining_writes_ ? wrq_scanned_fills_ : rdq_scanned_fills_;
-  if (scanned != buffer_fills_) {
+  u64& scanned = drain ? wrq_scanned_fills_ : rdq_scanned_fills_;
+  if (!queue.empty() && scanned != buffer_fills_) {
+    if (!act) return cycle;
     scanned = buffer_fills_;
     for (auto it = queue.begin(); it != queue.end();) {
       if (serve_from_buffer(*it, cycle, /*count_miss=*/false)) {
@@ -502,19 +450,25 @@ bool VaultController::issue_demand_column(u64 cycle) {
         ++it;
       }
     }
-    if (queue.empty()) return false;
   }
 
   const auto& t = cfg_.timing;
 
-  // First-ready pass: oldest request whose column command can issue now.
+  // First-ready pass: oldest request whose column command can issue now,
+  // once its bank's column path and the data bus are free.
+  u64 next = kTickNever;
   for (auto it = queue.begin(); it != queue.end(); ++it) {
     dram::Bank& bank = banks_[it->bank];
-    if (bank.classify(cycle, it->row) != RowBufferOutcome::kHit) continue;
-    if (bank.earliest_column(cycle) != cycle) continue;
-    const u64 data_start =
-        cycle + (it->req.type == AccessType::kRead ? t.tCL : t.tWL);
-    if (bus_free_cycle_ > data_start) continue;
+    if (bank.open_row(cycle) != it->row) continue;
+    const u64 lead = it->req.type == AccessType::kRead ? t.tCL : t.tWL;
+    const u64 gate =
+        std::max(bank.earliest_column(cycle),
+                 bus_free_cycle_ - std::min(bus_free_cycle_, lead));
+    if (gate != cycle) {
+      next = std::min(next, gate);
+      continue;
+    }
+    if (!act) return cycle;
 
     classify_if_new(*it, cycle);
     prefetch::AccessContext ctx{.bank = it->bank,
@@ -535,7 +489,7 @@ bool VaultController::issue_demand_column(u64 cycle) {
       extras.fetch_row = false;  // the copy is already in flight
       apply_decision(extras, *it);
       queue.erase(it);
-      return true;
+      return cycle;
     }
 
     note_row_reference(it->bank, it->row, it->column);
@@ -580,46 +534,40 @@ bool VaultController::issue_demand_column(u64 cycle) {
       }
     }
     queue.erase(it);
-    return true;
+    return cycle;
   }
-  return false;
+  return next;
 }
 
-bool VaultController::advance_demand_bank(u64 cycle) {
-  auto& queue = draining_writes_ ? wrq_ : rdq_;
-  if (queue.empty()) return false;
+u64 VaultController::advance_demand_bank(u64 cycle, bool act) {
   // Advance the oldest request of each bank (younger requests to the same
   // bank must not interleave PRE/ACT with it); issue at most one command.
+  // A request whose row is open waits for its column in
+  // issue_demand_column.
+  u64 next = kTickNever;
   u32 banks_seen = 0;  // bitmask; at most 32 banks (constructor assert)
-  for (auto& entry : queue) {
+  for (auto& entry : draining_writes_ ? wrq_ : rdq_) {
     const u32 bank_bit = 1u << entry.bank;
     if (banks_seen & bank_bit) continue;
     banks_seen |= bank_bit;
 
     dram::Bank& bank = banks_[entry.bank];
-    switch (bank.state(cycle)) {
-      case dram::BankState::kActive:
-        // Wrong row open (a hit would have issued a column in
-        // issue_demand_column, unless only the bus blocked it — then wait).
-        if (bank.open_row(cycle) != std::make_optional(entry.row) &&
-            bank.earliest_precharge(cycle) == cycle) {
-          classify_if_new(entry, cycle);
-          precharge(bank, cycle);
-          return true;
-        }
-        break;
-      case dram::BankState::kPrecharged:
-        if (bank.earliest_activate(cycle) == cycle && act_allowed(cycle)) {
-          classify_if_new(entry, cycle);
-          activate(bank, cycle, entry.row, entry.req.id);
-          return true;
-        }
-        break;
-      default:
-        break;  // transient state; wait for it to settle
+    if (bank.open_row(cycle) == entry.row) continue;
+    const u64 gate = open_gate(bank, cycle);
+    if (gate != cycle) {
+      next = std::min(next, gate);
+      continue;
     }
+    if (!act) return cycle;
+    classify_if_new(entry, cycle);
+    if (bank.open_row(cycle)) {
+      precharge(bank, cycle);
+    } else {
+      activate(bank, cycle, entry.row, entry.req.id);
+    }
+    return cycle;
   }
-  return false;
+  return next;
 }
 
 bool VaultController::next_drain_mode() const {
@@ -648,81 +596,69 @@ void VaultController::complete_fetch(BankId bank, RowId row,
   }
 }
 
-bool VaultController::issue_prefetch(u64 cycle) {
+u64 VaultController::issue_prefetch(u64 cycle, bool act) {
+  u64 next = kTickNever;
   for (auto it = actions_.begin(); it != actions_.end();) {
     PfAction& action = *it;
     dram::Bank& bank = banks_[action.bank];
+    const std::optional<RowId> open = bank.open_row(cycle);
+    const bool row_open = open == action.row;
 
+    // The gate of the action's next step. An issued copy waits to close its
+    // row (or, under the closed-page policy, the row its column access
+    // used) once the copy completes; if the row already closed (e.g. a
+    // refresh drain), the action just ends then. An un-issued copy whose
+    // row is already buffered is dropped at once.
+    u64 gate;
+    bool ends = false;  // the step issues no command
     if (action.fetch_issued) {
-      // Waiting to precharge after the copy (or, under the closed-page
-      // policy, after the column access) completes. Pending demand to the
-      // same row defers the close: after a CAMPS fetch those demands drain
-      // via the buffer first; under closed page they are row hits we must
-      // not destroy.
-      if (cycle >= action.fetch_done_cycle &&
-          bank.state(cycle) == dram::BankState::kActive &&
-          bank.open_row(cycle) == std::make_optional(action.row)) {
-        if (!row_demanded(action.bank, action.row) &&
-            bank.earliest_precharge(cycle) == cycle) {
-          precharge(bank, cycle);
-          actions_.erase(it);
-          return true;
-        }
-      } else if (bank.open_row(cycle) != std::make_optional(action.row) &&
-                 cycle >= action.fetch_done_cycle) {
-        // The row already closed (e.g. refresh drain): nothing left to do.
-        it = actions_.erase(it);
-        continue;
-      }
+      ends = !row_open;
+      gate = std::max(action.fetch_done_cycle,
+                      row_open ? bank.earliest_precharge(cycle) : cycle);
+    } else if (buffer_.contains(BankRow{action.bank, action.row})) {
+      ends = true;
+      gate = cycle;
+    } else {
+      gate = row_open ? bank.earliest_column(cycle) : open_gate(bank, cycle);
+    }
+    if (gate != cycle) {
+      next = std::min(next, gate);
       ++it;
       continue;
     }
+    if (!act) return cycle;
 
-    if (buffer_.contains(BankRow{action.bank, action.row})) {
-      ++n_prefetch_dropped_;
+    if (ends) {
+      if (!action.fetch_issued) ++n_prefetch_dropped_;
       it = actions_.erase(it);
       continue;
     }
-
-    switch (bank.state(cycle)) {
-      case dram::BankState::kActive: {
-        if (bank.open_row(cycle) == std::make_optional(action.row)) {
-          if (bank.earliest_column(cycle) == cycle) {
-            const u64 done = fetch_row(action.bank, action.row, cycle);
-            if (action.precharge_after) {
-              action.fetch_issued = true;
-              action.fetch_done_cycle = done;
-            } else {
-              actions_.erase(it);
-            }
-            return true;
-          }
-        } else {
-          // Another row occupies the bank (MMD extra rows). Close it only
-          // if no queued demand still wants it — a prefetch must never
-          // turn a pending row hit into a conflict.
-          if (!row_demanded(action.bank, *bank.open_row(cycle)) &&
-              bank.earliest_precharge(cycle) == cycle) {
-            precharge(bank, cycle);
-            return true;
-          }
-        }
-        ++it;
-        continue;
+    if (row_open && !action.fetch_issued) {
+      const u64 done = fetch_row(action.bank, action.row, cycle);
+      if (action.precharge_after) {
+        action.fetch_issued = true;
+        action.fetch_done_cycle = done;
+      } else {
+        actions_.erase(it);
       }
-      case dram::BankState::kPrecharged:
-        if (bank.earliest_activate(cycle) == cycle && act_allowed(cycle)) {
-          activate(bank, cycle, action.row);
-          return true;
-        }
-        ++it;
-        continue;
-      default:
-        ++it;
-        continue;
+      return cycle;
     }
+    if (!open) {
+      activate(bank, cycle, action.row);
+      return cycle;
+    }
+    // Close the open row only if no queued demand still wants it: after a
+    // CAMPS fetch those demands drain via the buffer first, under closed
+    // page they are row hits, and a prefetch must never turn a pending row
+    // hit into a conflict.
+    if (!row_demanded(action.bank, *open)) {
+      precharge(bank, cycle);
+      if (action.fetch_issued) actions_.erase(it);
+      return cycle;
+    }
+    ++it;
   }
-  return false;
+  return next;
 }
 
 }  // namespace camps::hmc

@@ -8,13 +8,14 @@
 //
 // Event model: a wake issues at most one DRAM command (single command bus
 // per vault) plus any number of prefetch-buffer serves (logic-layer SRAM,
-// not on the DRAM command bus). After each wake the controller sleeps until
-// next_action_cycle(), the first DRAM cycle at which some timing gate lets
-// it act (or its next refresh deadline), so it never wakes just to find
-// nothing legal. A row fill wakes it at the fill's own tick. A wake is a
-// late event keyed by the vault id: it runs after every ordinary event of
-// its tick (so it sees that tick's row fills), and same-tick wakes run in
-// vault-id order.
+// not on the DRAM command bus). Each scheduler phase states its timing
+// gates once: called to act, it issues when a gate is the current cycle;
+// called to plan, it reports the first cycle one could be. After each wake
+// the controller sleeps until next_action_cycle(), the least of the
+// phases' plans, so it never wakes just to find nothing legal. A row fill
+// wakes it at the fill's own tick. A wake is a late event keyed by the
+// vault id: it runs after every ordinary event of its tick (so it sees
+// that tick's row fills), and same-tick wakes run in vault-id order.
 //
 // Arrivals cost no event. The device hands each request over when it sends
 // it, with the tick it will reach the vault (the link and crossbar are
@@ -180,18 +181,28 @@ class VaultController final {
            !actions_.empty() || refresh_draining_;
   }
 
-  // Scheduler phases (all take the current DRAM cycle).
   void wake();
   void schedule_wake_at_cycle(u64 cycle);
   /// After a wake at `cycle`: the first later cycle at which a wake could
-  /// act (kTickNever if none). Every cycle before it would be a no-op wake.
-  u64 next_action_cycle(u64 cycle) const;
+  /// act (kTickNever if none), from the phases below in plan mode. Every
+  /// cycle before it would be a no-op wake.
+  u64 next_action_cycle(u64 cycle);
   void admit_ingress(u64 cycle);
-  // Each returns true if it consumed this cycle's command slot.
-  bool refresh_step(u64 cycle);
-  bool issue_demand_column(u64 cycle);
-  bool advance_demand_bank(u64 cycle);
-  bool issue_prefetch(u64 cycle);
+  // Scheduler phases. Each tests its candidates' gates once and returns the
+  // first cycle >= `cycle` at which it could act (kTickNever if none). With
+  // `act` it also acts at `cycle`, and returns `cycle` exactly when it
+  // issued a DRAM command; without `act` it changes nothing. A step with no
+  // timing gate (a refresh coming due, a drain-mode flip, a buffer re-scan,
+  // dropping an action whose row is buffered) can act at once: plan mode
+  // returns `cycle` for it.
+  u64 refresh_step(u64 cycle, bool act);
+  u64 issue_demand_column(u64 cycle, bool act);
+  u64 advance_demand_bank(u64 cycle, bool act);
+  u64 issue_prefetch(u64 cycle, bool act);
+  /// First cycle >= `cycle` at which `bank`, whose wanted row is not open,
+  /// can take its next command: PRE if another row is open, else ACT
+  /// (which also waits for tRRD and tFAW).
+  u64 open_gate(const dram::Bank& bank, u64 cycle) const;
 
   /// Issues the row copy serving `entry` itself (BASE's serve-via-buffer
   /// path). Pre: bank open on the row, column path and bus ready.
@@ -265,10 +276,6 @@ class VaultController final {
   std::array<u64, 4> act_window_{};
   u32 act_window_pos_ = 0;
 
-  /// True when a new ACT at `cycle` satisfies both tRRD and tFAW.
-  bool act_allowed(u64 cycle) const {
-    return cycle >= next_act_cycle_ && cycle >= act_window_[act_window_pos_];
-  }
   void record_act(u64 cycle) {
     next_act_cycle_ = cycle + cfg_.timing.tRRD;
     act_window_[act_window_pos_] = cycle + cfg_.timing.tFAW;

@@ -48,35 +48,20 @@ PrefetchDecision CampsScheme::on_demand_access(const AccessContext& ctx) {
 #endif
   const BankRow id{ctx.bank, ctx.row};
 
-  if (ctx.outcome == dram::RowBufferOutcome::kHit) {
-    // Served from the open row. Profile it; past the threshold the row has
-    // proven its utilization and moves to the prefetch buffer.
-    // (A stale RUT entry for a different row — possible when a row was
-    // closed by refresh and another opened — is displaced into the CT
-    // first, mirroring the row-buffer replacement path.)
-    if (auto displaced = rut_.displace(ctx.bank, ctx.row)) {
-      ct_.insert(BankRow{ctx.bank, displaced->row});
-    }
-    const u32 count = rut_.touch(ctx.bank, ctx.row);
-    if (count >= p_.utilization_threshold) {
-      rut_.remove(ctx.bank);
-      ++threshold_prefetches_;
-      return PrefetchDecision{.fetch_row = true, .precharge_after = true, .extra_rows = {}};
-    }
-    return {};
-  }
-
-  // Row-buffer miss (empty or conflict): the controller activates ctx.row
-  // and serves the request. Whatever row the bank profiled before has just
-  // been displaced from the row buffer, so its profile moves into the CT
-  // regardless of what happens to the new row.
+  // Whatever other row the bank profiled has been displaced from the row
+  // buffer, so its profile moves into the CT. On a row-buffer hit the RUT
+  // entry is normally this row's own; a different one is stale (the row was
+  // closed by refresh and another opened).
   if (auto displaced = rut_.displace(ctx.bank, ctx.row)) {
     ct_.insert(BankRow{ctx.bank, displaced->row});
   }
 
   if (ct_.remove(id)) {
-    // The row was displaced recently — it causes conflicts. Prefetch it
-    // and precharge; its CT entry is gone.
+    // The row was displaced recently and is open again — it causes
+    // conflicts. Prefetch it and precharge; its CT entry is gone. A row
+    // hit can land here too: the scheme sees a request at its column
+    // command, so another request's hit can come first, while the one
+    // that re-activated the row waits behind a write drain.
     ++conflict_prefetches_;
     PrefetchDecision d;
     d.fetch_row = true;
@@ -84,7 +69,9 @@ PrefetchDecision CampsScheme::on_demand_access(const AccessContext& ctx) {
     return d;
   }
 
-  // Not a known conflict-causer: keep the row open and start profiling it.
+  // Not a known conflict-causer: keep the row open and profile it; past
+  // the threshold the row has proven its utilization and moves to the
+  // prefetch buffer.
   const u32 count = rut_.touch(ctx.bank, ctx.row);
   if (count >= p_.utilization_threshold) {
     // Degenerate thresholds (<= 1) fire on the very first access; kept

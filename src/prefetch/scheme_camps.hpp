@@ -1,8 +1,8 @@
 // CAMPS and CAMPS-MOD (Sections 3.1 / 3.2) — the paper's contribution.
 //
 // Per-vault state: a Row Utilization Table (one entry per bank) and a
-// Conflict Table (32 entries, fully associative, LRU). Decision flow,
-// exactly as Figure 3 describes:
+// Conflict Table (32 entries, fully associative, LRU). Decision flow, as
+// Figure 3 describes:
 //
 //   prefetch-buffer hit  -> served there; nothing to decide.
 //   row-buffer HIT       -> count the access in the RUT; once the count
@@ -15,6 +15,11 @@
 //                           Otherwise keep the row open and (re)install it
 //                           in the RUT; the entry it displaces moves to
 //                           the CT.
+//
+// The scheme sees a request at its column command, which can come after
+// another request's hit on the row it re-activated. So a hit on a row the
+// CT still holds takes the miss path's CT branch: both outcomes run one
+// flow, and a row is never profiled and archived at once.
 //
 // CAMPS pairs this with LRU buffer replacement; CAMPS-MOD swaps in the
 // utilization+recency policy of Section 3.2. Both variants share this

@@ -13,8 +13,7 @@ namespace camps::trace {
 namespace {
 
 constexpr char kMagic[8] = {'C', 'A', 'M', 'P', 'S', 'T', 'R', 'C'};
-constexpr u32 kVersionFixed = 1;
-constexpr u32 kVersionCompact = 2;
+constexpr u32 kVersion = 1;
 
 void put_u32(std::ostream& out, u32 v) {
   std::array<char, 4> b;
@@ -47,34 +46,7 @@ u64 get_u64(std::istream& in) {
   return v;
 }
 
-void put_varint(std::ostream& out, u64 v) {
-  while (v >= 0x80) {
-    out.put(static_cast<char>((v & 0x7F) | 0x80));
-    v >>= 7;
-  }
-  out.put(static_cast<char>(v));
-}
-
-u64 get_varint(std::istream& in) {
-  u64 v = 0;
-  int shift = 0;
-  for (;;) {
-    const int c = in.get();
-    if (c == std::char_traits<char>::eof()) {
-      throw std::runtime_error("trace file: truncated varint");
-    }
-    if (shift >= 64) {
-      throw std::runtime_error("trace file: varint overflow (corrupt)");
-    }
-    v |= (static_cast<u64>(c) & 0x7F) << shift;
-    if ((c & 0x80) == 0) return v;
-    shift += 7;
-  }
-}
-
-// --- version 1 records ----------------------------------------------------
-
-void write_record_v1(std::ostream& out, const TraceRecord& r) {
+void write_record(std::ostream& out, const TraceRecord& r) {
   put_u32(out, r.gap);
   const char type = r.type == AccessType::kWrite ? 1 : 0;
   out.put(type);
@@ -84,7 +56,7 @@ void write_record_v1(std::ostream& out, const TraceRecord& r) {
   put_u64(out, r.addr);
 }
 
-TraceRecord read_record_v1(std::istream& in) {
+TraceRecord read_record_fields(std::istream& in) {
   TraceRecord r;
   r.gap = get_u32(in);
   std::array<char, 4> tp;
@@ -101,59 +73,14 @@ TraceRecord read_record_v1(std::istream& in) {
   return r;
 }
 
-// --- version 2 records (varint line-delta) ---------------------------------
-
-constexpr u64 kLineShift = 6;  // 64 B lines
-
-void write_record_v2(std::ostream& out, const TraceRecord& r,
-                     Addr& prev_addr) {
-  if (r.addr % 64 != 0) {
-    throw std::runtime_error(
-        "trace file v2 requires 64 B aligned addresses");
-  }
-  const u64 line = r.addr >> kLineShift;
-  const u64 prev_line = prev_addr >> kLineShift;
-  const bool negative = line < prev_line;
-  const u64 delta = negative ? prev_line - line : line - prev_line;
-  u8 flags = 0;
-  if (r.type == AccessType::kWrite) flags |= 1;
-  if (negative) flags |= 2;
-  out.put(static_cast<char>(flags));
-  put_varint(out, r.gap);
-  put_varint(out, delta);
-  prev_addr = r.addr;
-}
-
-TraceRecord read_record_v2(std::istream& in, Addr& prev_addr) {
-  const int flags = in.get();
-  if (flags == std::char_traits<char>::eof()) {
-    throw std::runtime_error("trace file: truncated body");
-  }
-  if ((flags & ~0x3) != 0) {
-    throw std::runtime_error("trace file: invalid v2 flags (corrupt)");
-  }
-  TraceRecord r;
-  r.type = (flags & 1) ? AccessType::kWrite : AccessType::kRead;
-  const u64 gap = get_varint(in);
-  if (gap > 0xFFFFFFFFull) {
-    throw std::runtime_error("trace file: v2 gap overflows u32 (corrupt)");
-  }
-  r.gap = static_cast<u32>(gap);
-  const u64 delta = get_varint(in);
-  const u64 prev_line = prev_addr >> kLineShift;
-  const u64 line = (flags & 2) ? prev_line - delta : prev_line + delta;
-  r.addr = line << kLineShift;
-  prev_addr = r.addr;
-  return r;
-}
-
-void write_header(std::ostream& out, u32 version, u64 count) {
+void write_header(std::ostream& out, u64 count) {
   out.write(kMagic, 8);
-  put_u32(out, version);
+  put_u32(out, kVersion);
   put_u64(out, count);
 }
 
-u32 read_header(std::istream& in, u64& count) {
+/// Checks the magic and version; returns the record count.
+u64 read_header(std::istream& in) {
   char magic[8];
   in.read(magic, 8);
   if (in.gcount() == 0) {
@@ -166,21 +93,18 @@ u32 read_header(std::istream& in, u64& count) {
     throw std::runtime_error("trace file: bad magic");
   }
   const u32 version = get_u32(in);
-  if (version != kVersionFixed && version != kVersionCompact) {
+  if (version != kVersion) {
     throw std::runtime_error("trace file: unsupported version " +
                              std::to_string(version));
   }
-  count = get_u64(in);
-  return version;
+  return get_u64(in);
 }
 
 /// Reads record `index` (0-based) of `total`, rethrowing any decode error
 /// with the record's position so a corrupt file points at itself.
-TraceRecord read_record(std::istream& in, u32 version, Addr& prev_addr,
-                        u64 index, u64 total) {
+TraceRecord read_record(std::istream& in, u64 index, u64 total) {
   try {
-    return version == kVersionFixed ? read_record_v1(in)
-                                    : read_record_v2(in, prev_addr);
+    return read_record_fields(in);
   } catch (const std::runtime_error& e) {
     throw std::runtime_error(std::string(e.what()) + " (record " +
                              std::to_string(index + 1) + " of " +
@@ -194,19 +118,8 @@ void write_trace_file(const std::string& path,
                       const std::vector<TraceRecord>& records) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) throw std::runtime_error("cannot create trace file: " + path);
-  write_header(out, kVersionFixed, records.size());
-  for (const auto& r : records) write_record_v1(out, r);
-  out.flush();
-  if (!out) throw std::runtime_error("write failure on trace file: " + path);
-}
-
-void write_trace_file_v2(const std::string& path,
-                         const std::vector<TraceRecord>& records) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot create trace file: " + path);
-  write_header(out, kVersionCompact, records.size());
-  Addr prev = 0;
-  for (const auto& r : records) write_record_v2(out, r, prev);
+  write_header(out, records.size());
+  for (const auto& r : records) write_record(out, r);
   out.flush();
   if (!out) throw std::runtime_error("write failure on trace file: " + path);
 }
@@ -214,14 +127,10 @@ void write_trace_file_v2(const std::string& path,
 std::vector<TraceRecord> read_trace_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open trace file: " + path);
-  u64 count = 0;
-  const u32 version = read_header(in, count);
+  const u64 count = read_header(in);
   std::vector<TraceRecord> records;
   records.reserve(count);
-  Addr prev = 0;
-  for (u64 i = 0; i < count; ++i) {
-    records.push_back(read_record(in, version, prev, i, count));
-  }
+  for (u64 i = 0; i < count; ++i) records.push_back(read_record(in, i, count));
   // The header's count must describe the file exactly: trailing bytes mean
   // the writer and header disagree (or the file was concatenated/corrupt).
   if (in.peek() != std::char_traits<char>::eof()) {
@@ -234,18 +143,14 @@ std::vector<TraceRecord> read_trace_file(const std::string& path) {
 
 struct TraceFileSource::Impl {
   std::ifstream in;
-  std::string path;
   u64 remaining = 0;
-  u32 version = kVersionFixed;
-  Addr prev_addr = 0;
 };
 
 TraceFileSource::TraceFileSource(const std::string& path)
     : impl_(std::make_unique<Impl>()) {
-  impl_->path = path;
   impl_->in.open(path, std::ios::binary);
   if (!impl_->in) throw std::runtime_error("cannot open trace file: " + path);
-  impl_->version = read_header(impl_->in, count_);
+  count_ = read_header(impl_->in);
   impl_->remaining = count_;
 }
 
@@ -253,8 +158,8 @@ TraceFileSource::~TraceFileSource() = default;
 
 std::optional<TraceRecord> TraceFileSource::next() {
   if (impl_->remaining == 0) return std::nullopt;
-  TraceRecord r = read_record(impl_->in, impl_->version, impl_->prev_addr,
-                              count_ - impl_->remaining, count_);
+  TraceRecord r =
+      read_record(impl_->in, count_ - impl_->remaining, count_);
   --impl_->remaining;
   return r;
 }
@@ -262,10 +167,7 @@ std::optional<TraceRecord> TraceFileSource::next() {
 void TraceFileSource::reset() {
   impl_->in.clear();
   impl_->in.seekg(0, std::ios::beg);
-  u64 count = 0;
-  impl_->version = read_header(impl_->in, count);
-  impl_->remaining = count;
-  impl_->prev_addr = 0;
+  impl_->remaining = read_header(impl_->in);
 }
 
 }  // namespace camps::trace

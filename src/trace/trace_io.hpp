@@ -1,4 +1,4 @@
-// Binary trace file formats (".ctrc").
+// Binary trace file format (".ctrc").
 //
 // Version 1 (fixed-width), layout (little-endian):
 //   8 bytes  magic "CAMPSTRC"
@@ -7,14 +7,8 @@
 //   records: { u32 gap, u8 type, 3 pad bytes, u64 addr } x count
 //
 // The fixed 16-byte record keeps readers trivially seekable; pad bytes must
-// be zero and are verified on read so corrupt files fail fast.
-//
-// Version 2 (compact) varint-delta-encodes each record:
-//   byte 0      flags: bit0 = write, bit1 = addr delta is negative
-//   varint      gap
-//   varint      zig-zag-free |addr - prev_addr| in 64 B lines
-// Spatially local traces compress roughly 4-5x vs v1. Both versions share
-// the magic; the version field selects the decoder.
+// be zero and are verified on read so corrupt files fail fast. Any other
+// version is rejected.
 #pragma once
 
 #include <memory>
@@ -30,12 +24,6 @@ namespace camps::trace {
 /// std::runtime_error on I/O failure.
 void write_trace_file(const std::string& path,
                       const std::vector<TraceRecord>& records);
-
-/// Writes `records` in the compact version 2 encoding. Addresses must be
-/// 64 B aligned (trace generators guarantee this); throws
-/// std::runtime_error otherwise or on I/O failure.
-void write_trace_file_v2(const std::string& path,
-                         const std::vector<TraceRecord>& records);
 
 /// Reads a whole trace file. Throws std::runtime_error on I/O failure,
 /// bad magic, unsupported version, or a truncated/corrupt body.

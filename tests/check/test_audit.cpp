@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -16,8 +18,10 @@
 #include "cache/hierarchy.hpp"
 #include "cache/mshr.hpp"
 #include "check/audit.hpp"
+#include "common/rng.hpp"
 #include "cpu/core.hpp"
 #include "dram/bank.hpp"
+#include "energy/energy_model.hpp"
 #include "hmc/hmc_device.hpp"
 #include "hmc/vault_controller.hpp"
 #include "prefetch/conflict_table.hpp"
@@ -78,6 +82,14 @@ struct TestCorruptor {
   }
   static bool refresh_draining(const hmc::VaultController& vault) {
     return vault.refresh_draining_;
+  }
+  static bool draining_writes(const hmc::VaultController& vault) {
+    return vault.draining_writes_;
+  }
+  /// Arms `vault`'s wake at the current tick (a DRAM edge): called from an
+  /// ordinary event on every edge, it wakes the vault every cycle.
+  static void wake_now(hmc::VaultController& vault) {
+    vault.schedule_wake_at_cycle(vault.cycle_of(vault.sim_.now()));
   }
   /// Makes the first refresh drain to begin in `device` postpone its
   /// vault's wake by `delay`, just before the drain-start hook runs.
@@ -588,6 +600,114 @@ TEST(CorruptionAudit, RowProfiledInRutAndArchivedInCt) {
   AuditReporter rep;
   scheme.audit(rep);
   EXPECT_TRUE(reports(rep, "rut-ct-exclusive")) << rep.report();
+}
+
+// --- sleep vs poll: a sleeping vault acts as one woken every cycle -------
+
+/// What one vault run leaves behind for the comparison.
+struct VaultRun {
+  std::map<u64, Tick> responses;  ///< Request id -> ready tick.
+  u64 reads = 0;
+  u64 buffer_hits = 0;
+  u64 buffer_misses = 0;
+  std::array<u64, energy::kEnergyEventCount> commands{};
+  bool drained_writes = false;  ///< Seen only when polling.
+};
+
+/// Feeds one vault seeded traffic: bursts of 150 back-to-back requests,
+/// which fill the write queue past write_drain_high, alternate with sparse
+/// stretches the vault sleeps through between arrivals. A third of the
+/// requests are writes, and half continue the previous row's stream. With
+/// `poll`, an ordinary event on every DRAM edge arms the vault's wake at
+/// that edge, so it wakes every cycle instead of sleeping until
+/// next_action_cycle().
+VaultRun run_vault(prefetch::SchemeKind kind, hmc::PagePolicy policy,
+                   bool poll) {
+  constexpr Tick kDram = sim::kDramTicksPerCycle;
+  constexpr u64 kRequests = 6'000;
+  constexpr Tick kLinkTicks = 37;  // send -> arrival, off the DRAM edges
+  sim::Simulator sim;
+  StatRegistry stats;
+  energy::EnergyModel energy;
+  VaultRun out;
+  hmc::VaultConfig cfg;
+  cfg.refresh_enabled = true;
+  cfg.page_policy = policy;
+  auto respond = [&out](const hmc::MemRequest& req, Tick ready) {
+    EXPECT_TRUE(out.responses.emplace(req.id, ready).second);
+  };
+  auto scheme = prefetch::make_scheme(kind, kBanks);
+  hmc::VaultController vault(sim, 0, hmc::HmcGeometry{}, cfg,
+                             std::move(scheme), &energy, stats, respond);
+
+  Rng rng(0xC0FFEE);
+  Tick send = 0;
+  hmc::DecodedAddr addr;
+  for (u64 id = 1; id <= kRequests; ++id) {
+    if ((id / 150) % 2 == 0) {
+      send += rng.next_below(2 * kDram);
+    } else {
+      send += rng.next_range(2 * kDram, 40 * kDram);
+    }
+    hmc::MemRequest req;
+    req.id = id;
+    req.type = rng.next_bool(0.35) ? AccessType::kWrite : AccessType::kRead;
+    if (req.type == AccessType::kRead) ++out.reads;
+    if (rng.next_bool(0.5)) {
+      addr.column = (addr.column + 1) % kLinesPerRow;
+    } else {
+      addr.bank = static_cast<BankId>(rng.next_below(kBanks));
+      addr.row = static_cast<RowId>(rng.next_below(6));
+      addr.column = static_cast<LineId>(rng.next_below(kLinesPerRow));
+    }
+    sim.schedule_at(send, [&vault, &sim, req, addr] {
+      vault.receive(req, addr, sim.now() + kLinkTicks);
+    });
+  }
+  const Tick horizon = send + 40'000 * kDram;
+  std::function<void()> poll_edge = [&] {
+    TestCorruptor::wake_now(vault);
+    out.drained_writes |= TestCorruptor::draining_writes(vault);
+    if (sim.now() < horizon) {
+      sim.schedule(kDram, [&poll_edge] { poll_edge(); });
+    }
+  };
+  if (poll) sim.schedule_at(0, [&poll_edge] { poll_edge(); });
+  sim.run_until(horizon);
+  EXPECT_TRUE(vault.idle()) << "the traffic did not drain by the horizon";
+
+  out.buffer_hits = vault.buffer().hits();
+  out.buffer_misses = vault.buffer().misses();
+  for (size_t e = 0; e < energy::kEnergyEventCount; ++e) {
+    out.commands[e] = energy.count(static_cast<energy::EnergyEvent>(e));
+  }
+  return out;
+}
+
+TEST(WakeOracle, SleepingVaultMatchesAVaultWokenEveryCycle) {
+  // The wake schedule rests on each phase's plan: every cycle before
+  // next_action_cycle() is a no-op wake. Waking every cycle must therefore
+  // change nothing the vault does, under every scheme and page policy.
+  using hmc::PagePolicy;
+  auto kinds = prefetch::paper_schemes();
+  kinds.push_back(prefetch::SchemeKind::kNone);
+  kinds.push_back(prefetch::SchemeKind::kStream);
+  const size_t refresh = static_cast<size_t>(energy::EnergyEvent::kRefresh);
+  for (const PagePolicy policy : {PagePolicy::kOpen, PagePolicy::kClosed}) {
+    SCOPED_TRACE(policy == PagePolicy::kOpen ? "open page" : "closed page");
+    for (const prefetch::SchemeKind kind : kinds) {
+      SCOPED_TRACE(prefetch::to_string(kind));
+      const VaultRun slept = run_vault(kind, policy, /*poll=*/false);
+      const VaultRun polled = run_vault(kind, policy, /*poll=*/true);
+      EXPECT_TRUE(polled.drained_writes) << "no write drain was exercised";
+      EXPECT_GT(slept.commands[refresh], 1u) << "too few refreshes";
+      EXPECT_EQ(slept.responses.size(), slept.reads);
+      EXPECT_EQ(slept.responses, polled.responses);
+      EXPECT_EQ(slept.buffer_hits, polled.buffer_hits);
+      EXPECT_EQ(slept.buffer_misses, polled.buffer_misses);
+      EXPECT_EQ(slept.commands, polled.commands);
+    }
+  }
 }
 
 // --- end-to-end: a real run under --audit-every stays clean -------------

@@ -2,6 +2,7 @@
 // transition.
 #include <gtest/gtest.h>
 
+#include "check/audit.hpp"
 #include "prefetch/scheme_camps.hpp"
 
 namespace camps::prefetch {
@@ -121,6 +122,25 @@ TEST(CampsScheme, StaleRutEntryOnHitPathDisplacesToCt) {
   camps.on_demand_access(ctx(RowBufferOutcome::kHit, 0, 7));  // stale bank 0
   EXPECT_TRUE(camps.conflict_table().contains(BankRow{0, 5}));
   EXPECT_EQ(camps.rut().entry(0)->row, 7u);
+}
+
+TEST(CampsScheme, HitOnAnArchivedRowIsItsReactivation) {
+  // Row 5 is re-activated for a request the scheme has not seen yet, and
+  // another request's hit on it comes first: the hit takes the CT branch,
+  // so row 5 is never profiled and archived at once.
+  CampsScheme camps(kBanks, params());
+  camps.on_demand_access(ctx(RowBufferOutcome::kEmpty, 0, 5));
+  camps.on_demand_access(ctx(RowBufferOutcome::kConflict, 0, 9));  // 5 -> CT
+  const auto d = camps.on_demand_access(ctx(RowBufferOutcome::kHit, 0, 5));
+  EXPECT_TRUE(d.fetch_row);
+  EXPECT_TRUE(d.precharge_after);
+  EXPECT_EQ(camps.conflict_prefetches(), 1u);
+  EXPECT_FALSE(camps.conflict_table().contains(BankRow{0, 5}));
+  EXPECT_TRUE(camps.conflict_table().contains(BankRow{0, 9}));
+  EXPECT_FALSE(camps.rut().entry(0).has_value());
+  check::AuditReporter rep;
+  camps.audit(rep);
+  EXPECT_TRUE(rep.clean()) << rep.report();
 }
 
 TEST(CampsScheme, CtCapacityEvictsLru) {

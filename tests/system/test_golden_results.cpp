@@ -1,15 +1,21 @@
 // Golden-results exactness: every Table II mix under the five paper schemes,
 // plus the HM1 fault campaign, must reproduce its RunResults bit for bit.
 // Each run's to_json() (minus the host-cost fields events_executed,
-// events_by_source and wall_seconds) is hashed and compared against a
-// checked-in table. A change that is meant to be exact — an event-queue or
-// scheduler optimisation — must leave every hash alone; a deliberate model
-// change re-baselines by pasting the table this test prints on mismatch.
+// events_by_source and wall_seconds) is hashed and compared against the
+// `golden` label of EXACT.json, next to every other exactness digest. A
+// change that is meant to be exact — an event-queue or scheduler
+// optimisation — must leave every hash alone. The test prints the hashes it
+// computed as one `golden-digests {...}` line, so a deliberate model change
+// re-baselines with `scripts/check_exact.py BUILD_DIR --update golden`,
+// which runs this test and writes that line into EXACT.json.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <map>
+#include <regex>
+#include <sstream>
 #include <string>
 
 #include "exp/runner.hpp"
@@ -37,89 +43,41 @@ ExperimentConfig small_budget() {
 
 /// Hashes every cached run under `prefix` + "workload/SCHEME".
 void hash_runs(const Runner& runner, const std::string& prefix,
-               std::map<std::string, u64>& out) {
+               std::map<std::string, std::string>& out) {
   for (const auto& [key, results] : runner.results()) {
     system::RunResults exact = results;
     exact.events_executed = 0;  // host cost: what this test lets move
     exact.events_by_source = {};
     exact.wall_seconds = 0.0;
-    out[prefix + key.first + "/" + prefetch::to_string(key.second)] =
-        fnv1a(exact.to_json());
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(fnv1a(exact.to_json())));
+    out[prefix + key.first + "/" + prefetch::to_string(key.second)] = hex;
   }
 }
 
-// Generated by this test's mismatch output. Re-baseline only for a change
-// that is meant to move simulated results, and say why in EXPERIMENTS.md.
-const std::map<std::string, u64> kGolden = {
-{"HM1/BASE", 0x716bfa146333a0d3ull},
-    {"HM1/BASE-HIT", 0x8d92374228153c2cull},
-    {"HM1/CAMPS", 0x5223c76b7964d7e4ull},
-    {"HM1/CAMPS-MOD", 0x3837be46b1b82e8eull},
-    {"HM1/MMD", 0xfb76fd57e02963f5ull},
-    {"HM2/BASE", 0x006b269c8147bd68ull},
-    {"HM2/BASE-HIT", 0xf2c37ca0d5b17c0dull},
-    {"HM2/CAMPS", 0x6c089f5096d26359ull},
-    {"HM2/CAMPS-MOD", 0x8b4908d67e9eb4e6ull},
-    {"HM2/MMD", 0x0b59a50be2e1d56bull},
-    {"HM3/BASE", 0x650b75ab4e9fce3bull},
-    {"HM3/BASE-HIT", 0x5ed9db2731bc4d04ull},
-    {"HM3/CAMPS", 0x70fefd3450b668b9ull},
-    {"HM3/CAMPS-MOD", 0x76927c87c26f9ab1ull},
-    {"HM3/MMD", 0x9bbc00aa4bb389e2ull},
-    {"HM4/BASE", 0xc398d64a9fb195cfull},
-    {"HM4/BASE-HIT", 0xa2a8a9fdb4a15917ull},
-    {"HM4/CAMPS", 0x56aaab5ccce9500aull},
-    {"HM4/CAMPS-MOD", 0x4bad7de6ef114326ull},
-    {"HM4/MMD", 0xbbb2eb465fb08d45ull},
-    {"LM1/BASE", 0xdd94ab12a52b7f9aull},
-    {"LM1/BASE-HIT", 0x97bcaeff718e217dull},
-    {"LM1/CAMPS", 0x242b7aa13b786d47ull},
-    {"LM1/CAMPS-MOD", 0x5b537529139f7f0eull},
-    {"LM1/MMD", 0xa93c6776af01c842ull},
-    {"LM2/BASE", 0xdfb60c574a0b32acull},
-    {"LM2/BASE-HIT", 0x9c8c6687c138c06dull},
-    {"LM2/CAMPS", 0x862d7328cb5d0acdull},
-    {"LM2/CAMPS-MOD", 0x1cf72cb9adc56869ull},
-    {"LM2/MMD", 0x8361c8b9e7a2a347ull},
-    {"LM3/BASE", 0x8602d59b648784eaull},
-    {"LM3/BASE-HIT", 0x4f6eecb3810399acull},
-    {"LM3/CAMPS", 0xa571ee968fc172a2ull},
-    {"LM3/CAMPS-MOD", 0x81426106e15d0338ull},
-    {"LM3/MMD", 0xa95a2c2af95d4f4full},
-    {"LM4/BASE", 0xb5bbb1f96578a4d3ull},
-    {"LM4/BASE-HIT", 0xa6a922325a846442ull},
-    {"LM4/CAMPS", 0x11d35667a1808881ull},
-    {"LM4/CAMPS-MOD", 0x69f7f4c7eede30e3ull},
-    {"LM4/MMD", 0x49ceebf661f41c75ull},
-    {"MX1/BASE", 0x4771343198c6745bull},
-    {"MX1/BASE-HIT", 0xfae3a60a8ef30adbull},
-    {"MX1/CAMPS", 0x421366a9c4f688dbull},
-    {"MX1/CAMPS-MOD", 0x39038550cbc81c72ull},
-    {"MX1/MMD", 0xc903342e523edb28ull},
-    {"MX2/BASE", 0x9c534645cf7baea2ull},
-    {"MX2/BASE-HIT", 0x9aa853aa7429f9ceull},
-    {"MX2/CAMPS", 0x4b90ebaa279448ebull},
-    {"MX2/CAMPS-MOD", 0x2ffe586428719aacull},
-    {"MX2/MMD", 0x149b51d311d45c20ull},
-    {"MX3/BASE", 0xf0157c6a48eeb499ull},
-    {"MX3/BASE-HIT", 0x2deb23e5e5ceac23ull},
-    {"MX3/CAMPS", 0xd3fedbbc861bac82ull},
-    {"MX3/CAMPS-MOD", 0x8e646833ea2f2758ull},
-    {"MX3/MMD", 0x44b5be36c0bb4d67ull},
-    {"MX4/BASE", 0xb1def441b2af0901ull},
-    {"MX4/BASE-HIT", 0x7a35b7375faf79d1ull},
-    {"MX4/CAMPS", 0xcc443afbb09ca47bull},
-    {"MX4/CAMPS-MOD", 0xf094bfa424584f5aull},
-    {"MX4/MMD", 0x1c5ff1c022e42118ull},
-    {"faults/HM1/BASE", 0x7918a8c53ebe73c9ull},
-    {"faults/HM1/BASE-HIT", 0x41897ba47ee119bcull},
-    {"faults/HM1/CAMPS", 0x5c6074d61a3312b5ull},
-    {"faults/HM1/CAMPS-MOD", 0x1de1cf209a5fc9ecull},
-    {"faults/HM1/MMD", 0xd7535327ddd6effdull},
-};
+/// The `golden` label of EXACT.json: run name -> 16-hex-digit hash.
+std::map<std::string, std::string> recorded_digests() {
+  std::ifstream in(CAMPS_SOURCE_DIR "/EXACT.json");
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::string doc = text.str();
+  // The label's runs are one flat object of "name": "digest" pairs.
+  const size_t label = doc.find("\"golden\"");
+  if (label == std::string::npos) return {};
+  const size_t open = doc.find('{', doc.find("\"runs\"", label));
+  const std::string runs = doc.substr(open, doc.find('}', open) - open);
+  static const std::regex pair(R"re("([^"]+)":\s*"([0-9a-f]{16})")re");
+  std::map<std::string, std::string> out;
+  for (std::sregex_iterator it(runs.begin(), runs.end(), pair), end;
+       it != end; ++it) {
+    out[(*it)[1]] = (*it)[2];
+  }
+  return out;
+}
 
 TEST(GoldenResults, PaperSweepAndFaultCampaignAreExact) {
-  std::map<std::string, u64> actual;
+  std::map<std::string, std::string> actual;
 
   Runner sweep(small_budget());
   sweep.run_all(Runner::all_workloads(), prefetch::paper_schemes());
@@ -139,18 +97,15 @@ TEST(GoldenResults, PaperSweepAndFaultCampaignAreExact) {
   EXPECT_GT(retries, 0u) << "the campaign must fire host timeouts";
 
   ASSERT_EQ(actual.size(), 12u * 5u + 5u);
-  if (actual != kGolden) {
-    std::string table;
-    for (const auto& [label, hash] : actual) {
-      char line[96];
-      std::snprintf(line, sizeof line, "    {\"%s\", 0x%016llxull},\n",
-                    label.c_str(), static_cast<unsigned long long>(hash));
-      table += line;
-    }
-    ADD_FAILURE() << "simulated results moved; if deliberate, replace "
-                     "kGolden with:\n"
-                  << table;
+  std::string line = "golden-digests {";
+  for (const auto& [label, hash] : actual) {
+    if (line.back() != '{') line += ", ";
+    line += "\"" + label + "\": \"" + hash + "\"";
   }
+  std::printf("%s}\n", line.c_str());
+  EXPECT_EQ(actual, recorded_digests())
+      << "simulated results moved; if deliberate, run "
+         "scripts/check_exact.py BUILD_DIR --update golden";
 }
 
 }  // namespace

@@ -203,90 +203,15 @@ TEST_F(TraceIoTest, StreamingSourceNamesTheFailingRecord) {
   EXPECT_NE(msg.find("record 3 of 4"), std::string::npos) << msg;
 }
 
-// --- version 2 (compact varint-delta) --------------------------------------
-
-TEST_F(TraceIoTest, V2RoundTripSmall) {
-  const auto records = sample(10);
-  write_trace_file_v2(path_, records);
-  EXPECT_EQ(read_trace_file(path_), records);
-}
-
-TEST_F(TraceIoTest, V2RoundTripEmpty) {
-  write_trace_file_v2(path_, {});
-  EXPECT_TRUE(read_trace_file(path_).empty());
-}
-
-TEST_F(TraceIoTest, V2RoundTripLargeMixedDirections) {
-  // Forward and backward jumps of varying magnitude.
-  std::vector<TraceRecord> records;
-  u64 x = 99;
-  Addr addr = u64{1} << 33;
-  for (int i = 0; i < 20000; ++i) {
-    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-    const i64 delta = static_cast<i64>((x >> 20) % 4096) - 2048;
-    addr = static_cast<Addr>(static_cast<i64>(addr) + delta * 64);
-    records.push_back({static_cast<u32>(x % 17), addr,
-                       (x & 1) ? AccessType::kWrite : AccessType::kRead});
-  }
-  write_trace_file_v2(path_, records);
-  EXPECT_EQ(read_trace_file(path_), records);
-}
-
-TEST_F(TraceIoTest, V2StreamingSourceMatches) {
-  const auto records = sample(500);
-  write_trace_file_v2(path_, records);
-  TraceFileSource src(path_);
-  EXPECT_EQ(src.record_count(), records.size());
-  for (const auto& want : records) {
-    auto got = src.next();
-    ASSERT_TRUE(got);
-    EXPECT_EQ(*got, want);
-  }
-  EXPECT_FALSE(src.next().has_value());
-  src.reset();
-  size_t n = 0;
-  while (src.next()) ++n;
-  EXPECT_EQ(n, records.size());
-}
-
-TEST_F(TraceIoTest, V2CompressesSequentialTraces) {
-  std::vector<TraceRecord> records;
-  for (size_t i = 0; i < 10000; ++i) {
-    records.push_back({2, 0x1000 + 64 * i, AccessType::kRead});
-  }
-  write_trace_file(path_, records);
-  std::ifstream v1(path_, std::ios::binary | std::ios::ate);
-  const auto v1_size = v1.tellg();
-  write_trace_file_v2(path_, records);
-  std::ifstream v2(path_, std::ios::binary | std::ios::ate);
-  const auto v2_size = v2.tellg();
-  EXPECT_LT(v2_size * 4, v1_size) << "sequential traces must compress >= 4x";
-}
-
-TEST_F(TraceIoTest, V2RejectsUnalignedAddresses) {
-  EXPECT_THROW(
-      write_trace_file_v2(path_, {{0, 0x1001, AccessType::kRead}}),
-      std::runtime_error);
-}
-
-TEST_F(TraceIoTest, V2TruncatedBodyThrows) {
-  write_trace_file_v2(path_, sample(100));
-  std::ifstream in(path_, std::ios::binary);
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  in.close();
-  data.resize(data.size() / 2);
-  std::ofstream(path_, std::ios::binary | std::ios::trunc) << data;
-  EXPECT_THROW(read_trace_file(path_), std::runtime_error);
-}
-
-TEST_F(TraceIoTest, V2CorruptFlagsThrow) {
-  write_trace_file_v2(path_, sample(2));
+TEST_F(TraceIoTest, RetiredCompactVersionIsUnsupported) {
+  // Version 2, a varint-delta encoding, is no longer read or written.
+  write_trace_file(path_, sample(1));
   std::fstream f(path_, std::ios::binary | std::ios::in | std::ios::out);
-  f.seekp(20);  // first record's flags byte (after the 20-byte header)
-  f.put(static_cast<char>(0xF0));
+  f.seekp(8);  // version field
+  f.put(2);
   f.close();
-  EXPECT_THROW(read_trace_file(path_), std::runtime_error);
+  const std::string msg = thrown_message([&] { read_trace_file(path_); });
+  EXPECT_NE(msg.find("unsupported version 2"), std::string::npos) << msg;
 }
 
 }  // namespace
